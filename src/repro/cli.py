@@ -78,14 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--products", nargs="+", choices=_PRODUCTS,
                         default=list(_PRODUCTS))
-    p_eval.add_argument("--engine", choices=("indexed", "linear"),
-                        default="indexed",
-                        help="signature matching kernel (results are "
-                             "identical; linear is the reference path)")
-    p_eval.add_argument("--anomaly-path", choices=("fast", "baseline"),
-                        default="fast",
-                        help="anomaly scoring path (scores are identical; "
-                             "baseline is the reference path)")
     p_eval.add_argument("--workers", type=int, default=1,
                         help="process-pool width (1=serial, 0=one per CPU); "
                              "results are bit-identical for any value")
@@ -114,14 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of sensitivity points")
     p_sweep.add_argument("--duration", type=float, default=50.0)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--engine", choices=("indexed", "linear"),
-                         default="indexed",
-                         help="signature matching kernel (results are "
-                              "identical; linear is the reference path)")
-    p_sweep.add_argument("--anomaly-path", choices=("fast", "baseline"),
-                         default="fast",
-                         help="anomaly scoring path (scores are identical; "
-                              "baseline is the reference path)")
     p_sweep.add_argument("--faults", choices=_fault_plan_names(),
                          default="none", metavar="PLAN",
                          help="sweep every sensitivity point under this "
@@ -235,13 +219,10 @@ def _cmd_evaluate(args, out) -> int:
             train_duration_s=15.0,
             throughput_rates_pps=(500, 4000, 32000), throughput_probe_s=0.4,
             workers=args.workers, cache_dir=args.cache_dir,
-            engine=args.engine, anomaly_path=args.anomaly_path,
             faults=args.faults)
     else:
         options = EvaluationOptions(seed=args.seed, workers=args.workers,
                                     cache_dir=args.cache_dir,
-                                    engine=args.engine,
-                                    anomaly_path=args.anomaly_path,
                                     faults=args.faults)
     factories = [_product_factory(p) for p in args.products]
     requirements = _requirements(args.profile)
@@ -286,8 +267,6 @@ def _cmd_evaluate(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     from .eval.accuracy import sensitivity_sweep
-    from .ids.anomaly import use_anomaly_path
-    from .ids.signature import use_engine
     from .report.figures import figure4_error_curves
 
     factory_cls = _product_factory(args.product)
@@ -298,11 +277,10 @@ def _cmd_sweep(args, out) -> int:
         from .sim.faults import named_plan
 
         fault_plan = named_plan(args.faults, seed=args.seed)
-    with use_engine(args.engine), use_anomaly_path(args.anomaly_path):
-        sweep = sensitivity_sweep(
-            lambda s: factory_cls(sensitivity=s), f"sim-{args.product}",
-            tuple(points), seed=args.seed, duration_s=args.duration,
-            fault_plan=fault_plan)
+    sweep = sensitivity_sweep(
+        lambda s: factory_cls(sensitivity=s), f"sim-{args.product}",
+        tuple(points), seed=args.seed, duration_s=args.duration,
+        fault_plan=fault_plan)
     print(figure4_error_curves(sweep), file=out)
     return 0
 

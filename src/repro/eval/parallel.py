@@ -26,7 +26,7 @@ import pickle
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import __version__
@@ -106,52 +106,43 @@ def _execute_unit(factory: ProductFactory, unit: WorkUnit,
 # ----------------------------------------------------------------------
 # result cache
 # ----------------------------------------------------------------------
-def _options_token(options: EvaluationOptions) -> Tuple:
-    """The measurement-relevant option fields, in stable form.
+#: Option fields that change how the battery executes, never what it
+#: measures: parallelism must never change results, so it must never
+#: change cache keys either.  Every other field is part of the key.
+_EXECUTION_FIELDS = frozenset(("workers", "cache_dir"))
 
-    ``workers`` and ``cache_dir`` are deliberately absent: parallelism must
-    never change results, so it must never change cache keys either.
-    """
-    return (
-        options.seed,
-        options.n_hosts,
-        options.scenario_duration_s,
-        options.train_duration_s,
-        options.include_dos,
-        options.flood_rate_pps,
-        tuple(float(r) for r in options.throughput_rates_pps),
-        options.throughput_probe_s,
-        options.payload_mode,
-        options.profile,
-        # the matching kernel and the anomaly scoring path both produce
-        # identical results either way, but A/B comparisons must never
-        # read each other's cache
-        # (appended last: ``unit_key`` slices this tuple by position)
-        options.engine,
-        options.anomaly_path,
-    )
+#: Fields a "rate" unit's result does not depend on: one probe ignores the
+#: other probe rates (so probes cached at one sweep shape are reusable
+#: under any other sweep containing the same rate) and never runs faults.
+_RATE_INDEPENDENT = frozenset(
+    ("throughput_rates_pps", "faults", "fault_severities"))
 
 
-def _faults_token(options: EvaluationOptions) -> Tuple:
-    """The fault-plan option fields, in stable form (scenario units only:
-    rate probes never run faults, so their keys stay plan-independent)."""
-    return (options.faults,
-            tuple(float(s) for s in options.fault_severities))
+def _options_token(options: EvaluationOptions,
+                   drop: frozenset = frozenset()) -> Tuple:
+    """``(name, value)`` pairs of the measurement-relevant option fields
+    not in ``drop``, in declaration order; sequences become float tuples
+    so ``[500]`` and ``(500.0,)`` key alike."""
+    token = []
+    for f in fields(options):
+        if f.name in _EXECUTION_FIELDS or f.name in drop:
+            continue
+        value = getattr(options, f.name)
+        if isinstance(value, (list, tuple)):
+            value = tuple(float(v) for v in value)
+        token.append((f.name, value))
+    return tuple(token)
 
 
 def unit_key(unit: WorkUnit, options: EvaluationOptions) -> str:
-    """Content hash identifying one unit's result on disk."""
-    # a "rate" unit's result does not depend on the other probe rates, so
-    # drop the sweep list from its token: probes cached at one sweep shape
-    # are reusable under any other sweep containing the same rate
-    token = _options_token(options)
-    if unit.kind == "rate":
-        token = token[:6] + token[7:]
-    else:
-        # the scenario unit carries the dependability measurement, so the
-        # fault plan participates in its key: faulted and clean runs never
-        # read each other's cache entries
-        token = token + _faults_token(options)
+    """Content hash identifying one unit's result on disk.
+
+    The scenario unit carries the dependability measurement, so the fault
+    plan participates in its key: faulted and clean runs never read each
+    other's cache entries.
+    """
+    token = _options_token(
+        options, _RATE_INDEPENDENT if unit.kind == "rate" else frozenset())
     payload = repr(("repro-eval", __version__, CATALOG_VERSION,
                     unit.product, unit.kind, unit.rate_pps, token))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

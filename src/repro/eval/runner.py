@@ -37,8 +37,6 @@ from ..core.requirements import RequirementSet
 from ..core.scorecard import Scorecard
 from ..core.scoring import WeightedResult, rank_products, weighted_scores
 from ..core.weighting import derive_weights
-from ..ids.anomaly import use_anomaly_path
-from ..ids.signature import use_engine
 from ..products.base import DeploymentSnapshot, Product
 from .corpus import corpus_root, use_corpus
 from .ground_truth import AccuracyResult
@@ -86,14 +84,6 @@ class EvaluationOptions:
     throughput_probe_s: float = 1.0
     payload_mode: str = "http"
     profile: str = "cluster"
-    #: signature matching kernel ("indexed" | "linear"); measurement-
-    #: relevant only in execution time -- both kernels produce identical
-    #: matches -- but part of the cache key so kernel A/B runs never
-    #: share cached results
-    engine: str = "indexed"
-    #: anomaly scoring path ("fast" | "baseline"); like ``engine``, both
-    #: paths score identically, but A/B runs get separate cache entries
-    anomaly_path: str = "fast"
     #: named fault plan for the dependability experiment ("none" skips it
     #: entirely and keeps the battery byte-identical to a plain run)
     faults: str = "none"
@@ -165,8 +155,7 @@ def measure_scenario(
     """Run the accuracy scenario and every same-run measurement."""
     opts = options or EvaluationOptions()
 
-    with use_engine(opts.engine), use_anomaly_path(opts.anomaly_path), \
-            _unit_corpus(opts):
+    with _unit_corpus(opts):
         return _measure_scenario(factory, opts)
 
 
@@ -232,8 +221,7 @@ def measure_rate(
 ) -> LoadProbe:
     """Offer one load level to a fresh deployment (one throughput unit)."""
     opts = options or EvaluationOptions()
-    with use_engine(opts.engine), use_anomaly_path(opts.anomaly_path), \
-            _unit_corpus(opts):
+    with _unit_corpus(opts):
         return probe_rate(factory(), float(rate_pps),
                           duration_s=opts.throughput_probe_s,
                           payload_mode=opts.payload_mode, seed=opts.seed)

@@ -2,12 +2,7 @@
 
 from .alert import Alert, Detection, Notification, Severity
 from .analyzer import Analyzer
-from .anomaly import (
-    ANOMALY_PATHS,
-    DEFAULT_ANOMALY_PATH,
-    AnomalyEngine,
-    use_anomaly_path,
-)
+from .anomaly import AnomalyEngine
 from .component import Component, Subprocess, validate_wiring
 from .console import ManagementConsole, ResponseLog
 from .host import HostAgent, LoggingLevel
@@ -37,10 +32,7 @@ from .sensor import (
     Sensor,
     SignatureDetector,
 )
-from .multipattern import AhoCorasick, MultiPatternMatcher
 from .signature import (
-    DEFAULT_ENGINE,
-    ENGINE_KINDS,
     HeaderRule,
     PayloadPatternRule,
     RuleMatch,
@@ -49,7 +41,6 @@ from .signature import (
     StreamPatternRule,
     ThresholdRule,
     default_ruleset,
-    use_engine,
 )
 
 __all__ = [
@@ -58,10 +49,7 @@ __all__ = [
     "Notification",
     "Severity",
     "Analyzer",
-    "ANOMALY_PATHS",
-    "DEFAULT_ANOMALY_PATH",
     "AnomalyEngine",
-    "use_anomaly_path",
     "Component",
     "Subprocess",
     "validate_wiring",
@@ -94,11 +82,7 @@ __all__ = [
     "FailureMode",
     "Sensor",
     "SignatureDetector",
-    "AhoCorasick",
-    "DEFAULT_ENGINE",
-    "ENGINE_KINDS",
     "HeaderRule",
-    "MultiPatternMatcher",
     "PayloadPatternRule",
     "RuleMatch",
     "SignatureEngine",
@@ -106,5 +90,4 @@ __all__ = [
     "StreamPatternRule",
     "ThresholdRule",
     "default_ruleset",
-    "use_engine",
 ]

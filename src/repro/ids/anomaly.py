@@ -29,85 +29,29 @@ Each feature maps its deviation through a logistic into a suspicion score in
 exceeds ``threshold(sensitivity) = 0.95 - 0.85 * sensitivity``: the
 continuous knob behind the Figure-4 error-rate curves.
 
-Scoring paths
--------------
-Two implementations produce score-for-score identical output, selected the
-same way the signature kernel is (:data:`DEFAULT_ANOMALY_PATH`,
-:func:`use_anomaly_path`, or ``path=`` at construction):
-
-``"fast"`` (default)
-    Memoizes the payload-derived features (prefix entropy, application
-    token) on the packet itself so a battery that runs several detectors
-    over the same trace pays for them once; interns the ``(proto, port)``
-    service key as a small int; and prechecks each logistic feature against
-    a precomputed deviation cut so ``math.exp`` only runs for packets near
-    or above threshold.  The cut is found by bisection over the *same*
-    float expression the baseline evaluates and then widened by a guard
-    margin, so the final fire decision and every reported score come from
-    the identical arithmetic as the baseline path.
-
-``"baseline"``
-    The original per-call implementation; kept as the reference for the
-    differential test suite (``tests/ids/test_anomaly_fastpath.py``).
+Scoring
+-------
+:meth:`AnomalyEngine.inspect` memoizes the payload-derived features (prefix
+entropy, application token) on the packet itself, so a battery that runs
+several detectors over the same trace pays for them once, and looks the
+``(proto, port)`` service up as a small int key in tables that
+:meth:`AnomalyEngine.freeze` builds from the trained baseline.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..net.packet import PROTO_IDS, Packet, Protocol, TcpFlags
-from ..traffic.payload import shannon_entropy, shannon_entropy_prefix
+from ..traffic.payload import shannon_entropy_prefix
 from .alert import Severity
 
-__all__ = [
-    "AnomalyEngine",
-    "AnomalyScore",
-    "ANOMALY_PATHS",
-    "DEFAULT_ANOMALY_PATH",
-    "use_anomaly_path",
-]
+__all__ = ["AnomalyEngine", "AnomalyScore"]
 
 _ENTROPY_SAMPLE = 256  # bytes of payload fed to the entropy estimator
-
-#: The selectable anomaly scoring paths.
-ANOMALY_PATHS = ("fast", "baseline")
-
-
-def _check_anomaly_path(kind: str) -> str:
-    if kind not in ANOMALY_PATHS:
-        raise ConfigurationError(
-            f"unknown anomaly path {kind!r}; expected one of {ANOMALY_PATHS}")
-    return kind
-
-
-#: Path used when an engine is built without an explicit ``path=``.
-#: ``REPRO_ANOMALY_PATH`` overrides the default (used by the CI lane that
-#: forces the fast path on for the whole product test suite).
-DEFAULT_ANOMALY_PATH = _check_anomaly_path(
-    os.environ.get("REPRO_ANOMALY_PATH", "fast"))
-
-
-@contextmanager
-def use_anomaly_path(kind: str) -> Iterator[None]:
-    """Temporarily change the default anomaly scoring path.
-
-    The evaluation work units wrap themselves in this so one
-    ``EvaluationOptions.anomaly_path`` knob reaches every product
-    deployment, in-process and across pool workers alike.
-    """
-    global DEFAULT_ANOMALY_PATH
-    previous = DEFAULT_ANOMALY_PATH
-    DEFAULT_ANOMALY_PATH = _check_anomaly_path(kind)
-    try:
-        yield
-    finally:
-        DEFAULT_ANOMALY_PATH = previous
-
 
 _TCP_ID = PROTO_IDS[Protocol.TCP]
 _ICMP_ID = PROTO_IDS[Protocol.ICMP]
@@ -119,13 +63,19 @@ _ALPHA_RUN_RE = re.compile(rb"[a-z_]{4,}")
 
 
 def _token_fast(p: Optional[bytes]) -> Optional[bytes]:
-    """Value-identical reimplementation of :meth:`AnomalyEngine._token`.
+    """Extract a *stable* application-protocol token from a payload.
+
+    Text protocols: the first word ("GET", "HELO", "login:").  Binary
+    protocols: the 6-byte magic+type header plus the first embedded
+    command-like ASCII run -- volatile fields (sequence numbers, float
+    samples) are deliberately excluded so that ordinary traffic yields a
+    small, learnable token set while a rogue command inside an
+    otherwise-normal protocol produces a token never seen in training.
 
     ``bytes.translate`` counts the printable head, ``bytes.find`` locates
     the first word boundary without splitting the whole payload, and a
     precompiled regex finds the first >=4-byte lowercase/underscore run in
-    the ``p[6:32]`` window -- each provably returning the same bytes as the
-    baseline's per-byte Python loops (see the differential property test).
+    the ``p[6:32]`` window.
     """
     if p is None or len(p) < 4:
         return None
@@ -138,51 +88,6 @@ def _token_fast(p: Optional[bytes]) -> Optional[bytes]:
     m = _ALPHA_RUN_RE.search(p, 6, 32)
     run = m.group()[:12] if m is not None else b""
     return p[:6] + b"|" + run
-
-
-#: Guard margin subtracted from bisected cuts.  Float bisection pins the
-#: crossover exactly when the composed expression is monotone; libm ``exp``
-#: is only faithfully rounded, so monotonicity could in principle wobble by
-#: an ulp near the cut.  The margin is ~1e6 ulps wide, and every packet at
-#: or above the guarded cut is re-decided by the exact baseline expression,
-#: so the precheck can only ever admit extra candidates, never drop one.
-_CUT_GUARD = 1e-9
-
-
-def _z_cut(midpoint: float, steepness: float, threshold: float) -> float:
-    """Conservative deviation precheck for ``_logistic(z, ...) > t``.
-
-    Returns a ``zc`` such that ``z < zc`` guarantees the score cannot clear
-    the threshold; callers evaluate the exact logistic for ``z >= zc``.
-    """
-    lo, hi = midpoint - 800.0, midpoint + 800.0  # logistic saturates inside
-    if _logistic(lo, midpoint, steepness) > threshold:
-        return lo - _CUT_GUARD
-    if not _logistic(hi, midpoint, steepness) > threshold:
-        return math.inf  # threshold >= the logistic ceiling: never fires
-    while True:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:  # lo/hi are adjacent floats: hi is the cut
-            return hi - _CUT_GUARD - _CUT_GUARD * abs(hi)
-        if _logistic(mid, midpoint, steepness) > threshold:
-            hi = mid
-        else:
-            lo = mid
-
-
-def _count_cut(fires, hi: int = 1 << 40) -> int:
-    """Smallest count in [1, hi] where the monotone ``fires`` predicate
-    holds, minus a one-count guard; ``hi + 1`` when it never fires."""
-    if not fires(hi):
-        return hi + 1
-    lo = 0  # fires(0) treated as False: counts start at 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fires(mid):
-            hi = mid
-        else:
-            lo = mid
-    return max(1, hi - 1)
 
 
 def _logistic(z: float, midpoint: float, steepness: float = 1.0) -> float:
@@ -237,13 +142,10 @@ class AnomalyEngine:
     then :meth:`inspect` live packets.
     """
 
-    def __init__(self, sensitivity: float = 0.5, window_s: float = 5.0,
-                 path: Optional[str] = None) -> None:
+    def __init__(self, sensitivity: float = 0.5,
+                 window_s: float = 5.0) -> None:
         if window_s <= 0:
             raise ConfigurationError("window_s must be positive")
-        self.anomaly_path = _check_anomaly_path(
-            DEFAULT_ANOMALY_PATH if path is None else path)
-        self._fast = self.anomaly_path == "fast"
         self.sensitivity = sensitivity
         self.window_s = float(window_s)
         self.trained = False
@@ -260,7 +162,7 @@ class AnomalyEngine:
         self._train_bins: Dict[Tuple[int, int], int] = {}
         self._train_fanout: Dict[Tuple[int, int], Set[int]] = {}
 
-        # --- fast-path tables (built by freeze(); int service keys
+        # --- scoring tables (built by freeze(); int service keys
         # ``proto_id << 16 | server_port``) ---
         self._services_ik: Set[int] = set()
         self._entropy_ik: Dict[int, Tuple[float, float]] = {}
@@ -268,7 +170,6 @@ class AnomalyEngine:
         self._icmp_params: Optional[Tuple[float, float]] = None
         self._rate_den = 1.0
         self._fan_den = 1
-        self._cuts: Optional[tuple] = None  # per-threshold precheck cuts
 
         # --- live state ---
         self._live_bins: Dict[int, list] = {}     # src -> [bin_idx, count]
@@ -284,7 +185,6 @@ class AnomalyEngine:
         if not 0.0 <= value <= 1.0:
             raise ConfigurationError("sensitivity must be in [0, 1]")
         self._sensitivity = float(value)
-        self._cuts = None  # precheck cuts depend on the threshold
 
     @property
     def threshold(self) -> float:
@@ -299,39 +199,6 @@ class AnomalyEngine:
             return 0
         return min(pkt.sport, pkt.dport)
 
-    _ALPHA = frozenset(b"abcdefghijklmnopqrstuvwxyz_")
-
-    @classmethod
-    def _token(cls, pkt: Packet) -> Optional[bytes]:
-        """Extract a *stable* application-protocol token from the payload.
-
-        Text protocols: the first word ("GET", "HELO", "login:").  Binary
-        protocols: the 6-byte magic+type header plus the first embedded
-        command-like ASCII run -- volatile fields (sequence numbers, float
-        samples) are deliberately excluded so that ordinary traffic yields
-        a small, learnable token set while a rogue command inside an
-        otherwise-normal protocol produces a token never seen in training.
-        """
-        p = pkt.payload
-        if p is None or len(p) < 4:
-            return None
-        head = p[:16]
-        printable = sum(32 <= b < 127 for b in head)
-        if printable >= max(len(head) - 2, 4):  # text protocol
-            return bytes(p.split(b" ", 1)[0][:12])
-        run = b""
-        current = bytearray()
-        for b in p[6:32]:
-            if b in cls._ALPHA:
-                current.append(b)
-                continue
-            if len(current) >= 4:
-                break
-            current.clear()
-        if len(current) >= 4:
-            run = bytes(current[:12])
-        return bytes(p[:6]) + b"|" + run
-
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
@@ -344,18 +211,14 @@ class AnomalyEngine:
         self._services.add(key)
 
         if pkt.payload is not None:
-            if self._fast:
-                h = pkt._h256
-                if h is None:
-                    h = shannon_entropy_prefix(pkt.payload, _ENTROPY_SAMPLE)
-                    pkt._h256 = h
-                token = pkt._tok
-                if token is False:
-                    token = _token_fast(pkt.payload)
-                    pkt._tok = token
-            else:
-                h = shannon_entropy(pkt.payload[:_ENTROPY_SAMPLE])
-                token = self._token(pkt)
+            h = pkt._h256
+            if h is None:
+                h = shannon_entropy_prefix(pkt.payload, _ENTROPY_SAMPLE)
+                pkt._h256 = h
+            token = pkt._tok
+            if token is False:
+                token = _token_fast(pkt.payload)
+                pkt._tok = token
             self._entropy.setdefault(key, _ServiceStats()).add(h)
             if token is not None:
                 self._tokens.setdefault(key, set()).add(token)
@@ -382,15 +245,14 @@ class AnomalyEngine:
         self._train_bins.clear()
         self._train_fanout.clear()
         self.trained = True
-        if self._fast:
-            self._build_fast_tables()
+        self._build_tables()
 
-    def _build_fast_tables(self) -> None:
+    def _build_tables(self) -> None:
         """Intern service keys as ints and hoist per-packet constants.
 
-        ``(mean, std)`` pairs are the exact float values the baseline's
-        ``_ServiceStats`` properties would return per packet; hoisting them
-        out of the hot loop changes no arithmetic.
+        ``(mean, std)`` pairs are the exact float values of the
+        ``_ServiceStats`` properties; hoisting them out of the hot loop
+        changes no arithmetic.
         """
         self._services_ik = {
             (PROTO_IDS[proto] << 16) | port
@@ -407,35 +269,6 @@ class AnomalyEngine:
             if self._icmp_sizes.n >= 8 else None)
         self._rate_den = max(self._max_src_rate, 1.0)
         self._fan_den = max(self._max_fanout, 1)
-        self._cuts = None
-
-    def _build_cuts(self, t: float) -> tuple:
-        """Precheck cuts for threshold ``t`` (cached until it changes)."""
-        rate_den = self._rate_den
-        fan_den = self._fan_den
-        max_fanout = self._max_fanout
-
-        def rate_fires(c: int) -> bool:
-            ratio = c / rate_den
-            return ratio > 1.0 and _logistic(
-                math.log2(ratio), midpoint=2.0, steepness=1.6) > t
-
-        def fan_fires(c: int) -> bool:
-            return c > max_fanout and _logistic(
-                math.log2(c / fan_den), midpoint=1.5, steepness=1.8) > t
-
-        cuts = (
-            t,
-            _count_cut(rate_fires),                  # 1: rate count precheck
-            _count_cut(fan_fires),                   # 2: fanout precheck
-            _z_cut(6.0, 0.8, t),                     # 3: entropy z precheck
-            _z_cut(6.0, 0.7, t),                     # 4: icmp-size z precheck
-            0.75 > t,                                # 5: new-service (priv)
-            0.55 > t,                                # 6: new-service (other)
-            0.7 > t,                                 # 7: token novelty
-        )
-        self._cuts = cuts
-        return cuts
 
     # ------------------------------------------------------------------
     # detection
@@ -444,8 +277,6 @@ class AnomalyEngine:
         """Score one packet; returns the features above threshold."""
         if not self.trained:
             raise ConfigurationError("AnomalyEngine.inspect before freeze()")
-        if self._fast:
-            return self._inspect_fast(pkt, now)
         self.packets_inspected += 1
         scores: List[AnomalyScore] = []
         t = self.threshold
@@ -458,7 +289,7 @@ class AnomalyEngine:
             live = [bin_idx, 0]
             self._live_bins[src] = live
         live[1] += 1
-        ratio = live[1] / max(self._max_src_rate, 1.0)
+        ratio = live[1] / self._rate_den
         if ratio > 1.0:
             s = _logistic(math.log2(ratio), midpoint=2.0, steepness=1.6)
             if s > t:
@@ -472,87 +303,6 @@ class AnomalyEngine:
         fo[1].add(pkt.dport)
         fan = len(fo[1])
         if fan > self._max_fanout:
-            s = _logistic(math.log2(fan / max(self._max_fanout, 1)),
-                          midpoint=1.5, steepness=1.8)
-            if s > t:
-                scores.append(AnomalyScore(("fanout", s)))
-
-        # new service (only consider plausible service-side ports)
-        port = self._server_port(pkt)
-        key = (pkt.proto, port)
-        is_syn = (pkt.proto is Protocol.TCP and pkt.has_flag(TcpFlags.SYN)
-                  and not pkt.has_flag(TcpFlags.ACK))
-        if key not in self._services and (is_syn or pkt.proto is not Protocol.TCP):
-            s = 0.75 if port < 1024 or pkt.dport == port else 0.55
-            if s > t:
-                scores.append(AnomalyScore(("new-service", s)))
-
-        # payload entropy deviation
-        if pkt.payload is not None and len(pkt.payload) >= 32:
-            stats = self._entropy.get(key)
-            if stats is not None and stats.n >= 8:
-                h = shannon_entropy(pkt.payload[:_ENTROPY_SAMPLE])
-                z = abs(h - stats.mean) / stats.std
-                s = _logistic(z, midpoint=6.0, steepness=0.8)
-                if s > t:
-                    scores.append(AnomalyScore(("entropy", s)))
-
-        # ICMP payload size
-        if pkt.proto is Protocol.ICMP and self._icmp_sizes.n >= 8:
-            z = abs(pkt.payload_len - self._icmp_sizes.mean) / self._icmp_sizes.std
-            s = _logistic(z, midpoint=6.0, steepness=0.7)
-            if s > t:
-                scores.append(AnomalyScore(("icmp-size", s)))
-
-        # token novelty on known services
-        token = self._token(pkt)
-        if token is not None and key in self._tokens:
-            if token not in self._tokens[key]:
-                s = 0.7
-                if s > t:
-                    scores.append(AnomalyScore(("token", s)))
-
-        self.detections += len(scores)
-        return scores
-
-    def _inspect_fast(self, pkt: Packet, now: float) -> List[AnomalyScore]:
-        """Fast scoring path: identical output, cheaper per packet.
-
-        Every score appended here is produced by the *same* float
-        expression as the baseline ``inspect``; the precheck cuts and
-        memoized payload features only decide how often that expression
-        needs to run.
-        """
-        self.packets_inspected += 1
-        scores: List[AnomalyScore] = []
-        t = self.threshold
-        cuts = self._cuts
-        if cuts is None or cuts[0] != t:
-            cuts = self._build_cuts(t)
-
-        # rate
-        src = pkt.src.value
-        bin_idx = int(now)
-        live = self._live_bins.get(src)
-        if live is None or live[0] != bin_idx:
-            live = [bin_idx, 0]
-            self._live_bins[src] = live
-        live[1] += 1
-        if live[1] >= cuts[1]:
-            ratio = live[1] / self._rate_den
-            if ratio > 1.0:
-                s = _logistic(math.log2(ratio), midpoint=2.0, steepness=1.6)
-                if s > t:
-                    scores.append(AnomalyScore(("rate", s)))
-
-        # fan-out
-        fo = self._live_fanout.get(src)
-        if fo is None or now - fo[0] > self.window_s:
-            fo = [now, set()]
-            self._live_fanout[src] = fo
-        fo[1].add(pkt.dport)
-        fan = len(fo[1])
-        if fan >= cuts[2] and fan > self._max_fanout:
             s = _logistic(math.log2(fan / self._fan_den),
                           midpoint=1.5, steepness=1.8)
             if s > t:
@@ -571,11 +321,9 @@ class AnomalyEngine:
             fb = pkt.flag_bits
             if (proto_id != _TCP_ID
                     or (fb & _SYN_BIT and not fb & _ACK_BIT)):
-                if port < 1024 or pkt.dport == port:
-                    if cuts[5]:
-                        scores.append(AnomalyScore(("new-service", 0.75)))
-                elif cuts[6]:
-                    scores.append(AnomalyScore(("new-service", 0.55)))
+                s = 0.75 if port < 1024 or pkt.dport == port else 0.55
+                if s > t:
+                    scores.append(AnomalyScore(("new-service", s)))
 
         # payload entropy deviation
         payload = pkt.payload
@@ -587,23 +335,21 @@ class AnomalyEngine:
                     h = shannon_entropy_prefix(payload, _ENTROPY_SAMPLE)
                     pkt._h256 = h
                 z = abs(h - params[0]) / params[1]
-                if z >= cuts[3]:
-                    s = _logistic(z, midpoint=6.0, steepness=0.8)
-                    if s > t:
-                        scores.append(AnomalyScore(("entropy", s)))
+                s = _logistic(z, midpoint=6.0, steepness=0.8)
+                if s > t:
+                    scores.append(AnomalyScore(("entropy", s)))
 
         # ICMP payload size
-        if proto_id == _ICMP_ID and self._icmp_params is not None:
-            params = self._icmp_params
+        params = self._icmp_params
+        if proto_id == _ICMP_ID and params is not None:
             z = abs(pkt._payload_len - params[0]) / params[1]
-            if z >= cuts[4]:
-                s = _logistic(z, midpoint=6.0, steepness=0.7)
-                if s > t:
-                    scores.append(AnomalyScore(("icmp-size", s)))
+            s = _logistic(z, midpoint=6.0, steepness=0.7)
+            if s > t:
+                scores.append(AnomalyScore(("icmp-size", s)))
 
         # token novelty on known services
         known = self._tokens_ik.get(ik)
-        if known is not None and cuts[7]:
+        if known is not None and 0.7 > t:
             token = pkt._tok
             if token is False:
                 token = _token_fast(payload)

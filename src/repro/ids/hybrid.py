@@ -41,16 +41,13 @@ class HybridDetector:
         anomaly: Optional[AnomalyDetector] = None,
         mode: str = "parallel",
         sensitivity: float = 0.5,
-        engine_kind: Optional[str] = None,
-        anomaly_path: Optional[str] = None,
     ) -> None:
         if mode not in ("parallel", "series"):
             raise ConfigurationError(f"unknown hybrid mode {mode!r}")
         self.mode = mode
         self.signature = signature or SignatureDetector(
-            sensitivity=sensitivity, engine_kind=engine_kind)
-        self.anomaly = anomaly or AnomalyDetector(
-            sensitivity=sensitivity, path=anomaly_path)
+            sensitivity=sensitivity)
+        self.anomaly = anomaly or AnomalyDetector(sensitivity=sensitivity)
         self.sensitivity = sensitivity
 
     @property

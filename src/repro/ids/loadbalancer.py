@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import ConfigurationError
 from ..net.address import Subnet
 from ..net.flow import FlowKey
-from ..net.packet import Packet
+from ..net.packet import PROTO_IDS, Packet
 from ..sim.engine import Engine
 from .component import Component, Subprocess
 from .sensor import Sensor
@@ -236,7 +236,10 @@ class HashBalancer(LoadBalancer):
     """Flow-hash spreading: canonical five-tuple hash modulo sensor count.
 
     Both directions of a flow hash identically (the :class:`FlowKey` is
-    bidirectional), so TCP sessions stay on one sensor.
+    bidirectional), so TCP sessions stay on one sensor.  The hashed tuple
+    holds only ints (the protocol by its :data:`PROTO_IDS` index, not its
+    per-process salted ``str`` value), so assignment is the same in every
+    process.
     """
 
     strategy = "flow-hash"
@@ -244,7 +247,7 @@ class HashBalancer(LoadBalancer):
     def select(self, pkt: Packet) -> Sensor:
         key = FlowKey.of(pkt)
         h = hash((key.addr_lo.value, key.port_lo, key.addr_hi.value,
-                  key.port_hi, key.proto.value))
+                  key.port_hi, PROTO_IDS[key.proto]))
         return self.sensors[h % len(self.sensors)]
 
 

@@ -203,9 +203,14 @@ class IdsPipeline:
     # ------------------------------------------------------------------
     @property
     def packets_dropped(self) -> int:
+        """Packets lost anywhere in the pipeline: sensor overload and
+        outage drops, plus the balancer's capacity drops, outage drops and
+        failover sheds (no live sensor to take the packet)."""
         dropped = sum(s.dropped_overload + s.dropped_down for s in self.sensors)
-        if self.balancer is not None:
-            dropped += self.balancer.dropped
+        balancer = self.balancer
+        if balancer is not None:
+            dropped += (balancer.dropped + balancer.dropped_down
+                        + balancer.shed_no_sensor)
         return dropped
 
     @property

@@ -80,17 +80,11 @@ class SignatureDetector:
 
     def __init__(self, engine: Optional[SignatureEngine] = None,
                  sensitivity: float = 0.5,
-                 payload_inspection: bool = True,
-                 engine_kind: Optional[str] = None) -> None:
+                 payload_inspection: bool = True) -> None:
         if engine is None:
             from .signature import default_ruleset
             engine = SignatureEngine(default_ruleset(payload_inspection),
-                                     sensitivity=sensitivity,
-                                     engine=engine_kind)
-        elif engine_kind is not None and engine.engine_kind != engine_kind:
-            raise ConfigurationError(
-                f"engine was built with kind {engine.engine_kind!r}, "
-                f"conflicting with engine_kind={engine_kind!r}")
+                                     sensitivity=sensitivity)
         self.engine = engine
         self.engine.sensitivity = sensitivity
 
@@ -114,14 +108,9 @@ class AnomalyDetector:
     """Adapter presenting an :class:`AnomalyEngine` as a Detector."""
 
     def __init__(self, engine: Optional[AnomalyEngine] = None,
-                 sensitivity: float = 0.5,
-                 path: Optional[str] = None) -> None:
+                 sensitivity: float = 0.5) -> None:
         if engine is None:
-            engine = AnomalyEngine(sensitivity=sensitivity, path=path)
-        elif path is not None and engine.anomaly_path != path:
-            raise ConfigurationError(
-                f"engine was built with path {engine.anomaly_path!r}, "
-                f"conflicting with path={path!r}")
+            engine = AnomalyEngine(sensitivity=sensitivity)
         self.engine = engine
         self.engine.sensitivity = sensitivity
 

@@ -14,56 +14,26 @@ The engine exposes the paper's *Adjustable Sensitivity* metric: a value in
 low-specificity "noisy" rules (which occasionally fire on benign traffic) --
 trading false negatives for false positives exactly as Figure 4 describes.
 
-Matching kernels
-----------------
+Matching
+--------
 The paper's Class-3 performance metrics are measured by pushing traffic
-through this engine, so its per-packet cost bounds how many scenarios a
-CPU-hour of evaluation can sweep.  Two interchangeable kernels produce
-byte-identical matches:
-
-``linear``
-    The reference path: every rule's ``match`` runs on every packet --
-    O(rules x patterns) per packet.  Kept for differential testing.
-``indexed`` (default)
-    The dispatch path: rules are bucketed by their declared static
-    constraints (protocol, destination ports, either-direction ports,
-    required TCP flag bits) so a packet only visits rules that could
-    possibly fire, and all payload
-    patterns across all payload/stream rules are compiled into one shared
-    :class:`~repro.ids.multipattern.MultiPatternMatcher` so each payload is
-    scanned once instead of once per pattern.  Hits map back to owning
-    rules in original rule order, preserving match-report ordering.
-
-Select a kernel per engine (``SignatureEngine(..., engine="linear")``) or
-for a whole code region via :func:`use_engine`; the evaluation harness
-threads ``EvaluationOptions.engine`` through the latter.
+through this engine.  :meth:`SignatureEngine.inspect` runs every enabled
+rule's ``match`` on every packet, in rule order, so match reports come out
+in rule order.  Each rule rejects a packet on its cheapest test first
+(protocol, ports, flags), and :class:`StreamPatternRule` keeps flow state
+only for tails that could start a pattern, so benign traffic stays cheap.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet, Protocol, TcpFlags
 from .alert import Severity
-from .multipattern import MultiPatternMatcher
-
-#: proto_id -> Protocol member, inverse of :data:`repro.net.packet.PROTO_IDS`
-#: (dispatch keys carry the int id; bucket builds map it back).
-_PROTOS = tuple(Protocol)
 
 __all__ = [
     "RuleMatch",
@@ -74,41 +44,7 @@ __all__ = [
     "ThresholdRule",
     "SignatureEngine",
     "default_ruleset",
-    "ENGINE_KINDS",
-    "DEFAULT_ENGINE",
-    "use_engine",
 ]
-
-#: The selectable matching kernels.
-ENGINE_KINDS = ("indexed", "linear")
-
-#: Kernel used when an engine is built without an explicit ``engine=``.
-DEFAULT_ENGINE = "indexed"
-
-
-def _check_engine_kind(kind: str) -> str:
-    if kind not in ENGINE_KINDS:
-        raise ConfigurationError(
-            f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}")
-    return kind
-
-
-@contextmanager
-def use_engine(kind: str) -> Iterator[None]:
-    """Temporarily change the default matching kernel.
-
-    The evaluation work units wrap themselves in this so one
-    ``EvaluationOptions.engine`` knob reaches every product deployment
-    (whose factories take no arguments), in-process and across pool
-    workers alike.
-    """
-    global DEFAULT_ENGINE
-    previous = DEFAULT_ENGINE
-    DEFAULT_ENGINE = _check_engine_kind(kind)
-    try:
-        yield
-    finally:
-        DEFAULT_ENGINE = previous
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,24 +93,6 @@ class SignatureRule:
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
         raise NotImplementedError
 
-    def dispatch_constraints(self) -> Tuple[Optional[Protocol],
-                                            Optional[FrozenSet[int]],
-                                            Optional[FrozenSet[int]],
-                                            Optional[TcpFlags]]:
-        """Static preconditions for the indexed dispatch path.
-
-        Returns ``(proto, dports, ports, flags)``: the packet protocol
-        this rule requires, destination ports it requires, ports it
-        requires in *either* direction, and TCP flag bits that must all be
-        set -- ``None`` meaning unconstrained.  The contract: any packet
-        violating a declared constraint makes :meth:`match` return ``None``
-        with no side effects, so the indexed engine may skip the rule
-        entirely.  The base class declares nothing (the rule is visited
-        for every packet); subclasses with narrower ``match`` logic
-        override this to enable dispatch pruning.
-        """
-        return (None, None, None, None)
-
     def reset(self) -> None:
         """Clear any per-rule state (between evaluation runs)."""
 
@@ -190,7 +108,7 @@ class PayloadPatternRule(SignatureRule):
     is the class of rule that makes payload realism matter (lesson 1).
     """
 
-    __slots__ = ("patterns", "ports", "proto", "_indexed_patterns")
+    __slots__ = ("patterns", "ports", "proto")
 
     def __init__(
         self,
@@ -206,12 +124,6 @@ class PayloadPatternRule(SignatureRule):
         self.patterns = [bytes(p) for p in patterns]
         self.ports = frozenset(int(p) for p in ports) if ports is not None else None
         self.proto = proto
-        #: ``(pattern, shared-matcher id)`` pairs, in rule-priority order;
-        #: assigned by the indexed engine at index-build time
-        self._indexed_patterns: Tuple[Tuple[bytes, int], ...] = ()
-
-    def dispatch_constraints(self):
-        return (self.proto, None, self.ports, None)
 
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
         if pkt.payload is None:
@@ -225,15 +137,6 @@ class PayloadPatternRule(SignatureRule):
                 return self._hit(detail=f"pattern {pattern[:16]!r}")
         return None
 
-    def match_prefiltered(self, pkt: Packet, now: float, sensitivity: float,
-                          matched_ids: FrozenSet[int]) -> Optional[RuleMatch]:
-        """Indexed fast path: the dispatch index already proved the
-        proto/port constraints and the caller guarantees a materialized
-        payload; ``matched_ids`` is the shared one-pass scan result."""
-        for pattern, pid in self._indexed_patterns:
-            if pid in matched_ids:
-                return self._hit(detail=f"pattern {pattern[:16]!r}")
-        return None
 
 
 class StreamPatternRule(SignatureRule):
@@ -263,7 +166,7 @@ class StreamPatternRule(SignatureRule):
     """
 
     __slots__ = ("patterns", "ports", "max_flows", "window_s", "_tail_len",
-                 "_tail_gate", "_streams", "_order", "_indexed_patterns")
+                 "_tail_gate", "_streams", "_order")
 
     def __init__(
         self,
@@ -292,10 +195,6 @@ class StreamPatternRule(SignatureRule):
         # stored-flow keys, oldest first; may contain stale keys (state
         # dropped on hit/degenerate tail), compacted when 2x the cap
         self._order: deque = deque()
-        self._indexed_patterns: Tuple[Tuple[bytes, int], ...] = ()
-
-    def dispatch_constraints(self):
-        return (None, None, self.ports, None)
 
     def reset(self) -> None:
         self._streams.clear()
@@ -365,51 +264,6 @@ class StreamPatternRule(SignatureRule):
         self._store_tail(key, state, pkt, now, haystack)
         return None
 
-    def match_prefiltered(self, pkt: Packet, now: float, sensitivity: float,
-                          matched_ids: FrozenSet[int]) -> Optional[RuleMatch]:
-        """Indexed fast path.  A pattern occurs in ``tail + payload`` iff
-        it occurs inside the payload (covered by the shared scan) or in the
-        seam ``tail + payload[:tail_len]`` (every boundary-straddling
-        occurrence starts in the tail and ends within ``tail_len`` payload
-        bytes), so the full haystack is never re-scanned per pattern."""
-        payload = pkt.payload
-        if pkt.proto is not Protocol.TCP:
-            for pattern, pid in self._indexed_patterns:
-                if pid in matched_ids:
-                    return self._hit(detail=f"pattern {pattern[:16]!r}")
-            return None
-        streams = self._streams
-        if streams:
-            key = (pkt.src.value, pkt.sport, pkt.dst.value, pkt.dport)
-            state = streams.get(key)
-        else:
-            key = state = None  # empty table: skip the flow-key build
-        tail_len = self._tail_len
-        if state is not None and now - state[0] <= self.window_s \
-                and pkt.seq == state[1]:
-            seam = state[2] + payload[:tail_len]
-        else:
-            seam = b""
-        if matched_ids or seam:
-            for pattern, pid in self._indexed_patterns:
-                if pid in matched_ids or (seam and pattern in seam):
-                    if state is not None:
-                        del streams[key]  # one hit per occurrence window
-                    return self._hit(detail=f"stream pattern {pattern[:16]!r}")
-        if state is None:
-            # benign fast path: no stored flow, and nothing to store unless
-            # a pattern could start inside the would-be tail
-            plen = len(payload)
-            if tail_len and self._tail_gate.search(
-                    payload,
-                    plen - tail_len if plen > tail_len else 0) is not None:
-                if key is None:
-                    key = (pkt.src.value, pkt.sport, pkt.dst.value, pkt.dport)
-                self._store_tail(key, None, pkt, now, payload)
-            return None
-        self._store_tail(key, state, pkt, now,
-                         state[2] + payload if seam else payload)
-        return None
 
 
 class HeaderRule(SignatureRule):
@@ -433,9 +287,6 @@ class HeaderRule(SignatureRule):
         self.flags = flags
         self.min_payload = min_payload
         self.predicate = predicate
-
-    def dispatch_constraints(self):
-        return (self.proto, self.dports, None, self.flags)
 
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
         if self.proto is not None and pkt.proto is not self.proto:
@@ -461,21 +312,12 @@ class ThresholdRule(SignatureRule):
 
     The effective threshold scales with sensitivity: at 0 it doubles, at 1
     it halves -- the knob the Figure-4 sweep turns.
-
-    ``proto`` / ``dports`` / ``flags`` optionally declare, as indexable
-    constraints, preconditions the key/value functions already imply (a
-    rule keyed on TCP SYNs can declare ``proto=Protocol.TCP,
-    flags=TcpFlags.SYN``).  They are dispatch metadata only -- ``match``
-    itself never consults them, so the linear reference path is unchanged
-    -- which makes the contract easy to state: the declaration must be
-    implied by ``key_fn``/``value_fn`` returning ``None``, or the indexed
-    kernel would skip a rule that could fire.
     """
 
     COUNT = object()
 
-    __slots__ = ("key_fn", "value_fn", "threshold", "window_s", "proto",
-                 "dports", "flags", "_state", "_eff_cache")
+    __slots__ = ("key_fn", "value_fn", "threshold", "window_s", "_state",
+                 "_eff_cache")
 
     def __init__(
         self,
@@ -484,9 +326,6 @@ class ThresholdRule(SignatureRule):
         value_fn: Callable[[Packet], Optional[object]],
         threshold: int,
         window_s: float = 5.0,
-        proto: Optional[Protocol] = None,
-        dports: Optional[Sequence[int]] = None,
-        flags: Optional[TcpFlags] = None,
         **kwargs,
     ) -> None:
         super().__init__(name, **kwargs)
@@ -498,15 +337,9 @@ class ThresholdRule(SignatureRule):
         self.value_fn = value_fn
         self.threshold = int(threshold)
         self.window_s = float(window_s)
-        self.proto = proto
-        self.dports = frozenset(int(p) for p in dports) if dports is not None else None
-        self.flags = flags
         # key -> (window_start, set-or-int, fired_in_window)
         self._state: Dict[object, list] = {}
         self._eff_cache: Tuple[float, int] = (-1.0, 0)
-
-    def dispatch_constraints(self):
-        return (self.proto, self.dports, None, self.flags)
 
     def reset(self) -> None:
         self._state.clear()
@@ -562,41 +395,17 @@ class SignatureEngine:
     Parameters
     ----------
     rules:
-        The rule set; order is preserved in match reporting.  The indexed
-        kernel snapshots it at construction -- build a new engine rather
-        than mutating ``rules`` afterwards.
+        The rule set; order is preserved in match reporting.
     sensitivity:
         Engine-wide sensitivity in [0, 1]; see module docstring.
-    engine:
-        Matching kernel, ``"indexed"`` or ``"linear"`` (module docstring);
-        ``None`` selects the ambient :data:`DEFAULT_ENGINE`.
     """
 
     def __init__(self, rules: Sequence[SignatureRule],
-                 sensitivity: float = 0.5,
-                 engine: Optional[str] = None) -> None:
+                 sensitivity: float = 0.5) -> None:
         self.rules = list(rules)
-        self.engine_kind = _check_engine_kind(
-            DEFAULT_ENGINE if engine is None else engine)
-        self._linear = self.engine_kind == "linear"
-        # (proto, normalized dport, normalized sport, masked flags) ->
-        # rule bucket; rebuilt lazily, emptied whenever sensitivity changes
-        # (same dict object throughout: the hot tuple below captures it)
-        self._dispatch: Dict[tuple, tuple] = {}
-        self._matcher: Optional[MultiPatternMatcher] = None
-        self._dports_of_interest: FrozenSet[int] = frozenset()
-        self._sports_of_interest: FrozenSet[int] = frozenset()
-        self._flags_mask = 0
-        self._hot: Optional[tuple] = None
         self.sensitivity = sensitivity
         self.packets_inspected = 0
         self.matches = 0
-        if not self._linear:
-            self._build_index()
-            # one attribute read per packet instead of five
-            self._hot = (self._dispatch, self._dports_of_interest,
-                         self._sports_of_interest, self._flags_mask,
-                         self._matcher.scan)
 
     @property
     def sensitivity(self) -> float:
@@ -607,204 +416,20 @@ class SignatureEngine:
         if not 0.0 <= value <= 1.0:
             raise ConfigurationError("sensitivity must be in [0, 1]")
         self._sensitivity = float(value)
-        # dispatch buckets bake in the min_sensitivity gate; clear in
-        # place so the hot tuple's reference stays valid
-        self._dispatch.clear()
 
-    # ------------------------------------------------------------------
-    # indexed kernel: rule index + shared multi-pattern automaton
-    # ------------------------------------------------------------------
-    def _build_index(self) -> None:
-        pattern_rules = [r for r in self.rules
-                         if type(r) in (PayloadPatternRule, StreamPatternRule)]
-        self._matcher = MultiPatternMatcher(
-            p for rule in pattern_rules for p in rule.patterns)
-        for rule in pattern_rules:
-            rule._indexed_patterns = tuple(
-                (p, self._matcher.pattern_id(p)) for p in rule.patterns)
-        dports, sports, flags_mask = set(), set(), 0
-        for rule in self.rules:
-            _, rule_dports, rule_ports, rule_flags = rule.dispatch_constraints()
-            if rule_dports:
-                dports |= rule_dports
-            if rule_ports:
-                dports |= rule_ports
-                sports |= rule_ports
-            if rule_flags:
-                flags_mask |= int(rule_flags)
-        self._dports_of_interest = frozenset(dports)
-        self._sports_of_interest = frozenset(sports)
-        self._flags_mask = flags_mask
-
-    def _build_bucket(self, key: int) -> tuple:
-        """Rules that can possibly fire for packets normalizing to ``key``,
-        in original rule order, each paired with its fast-path method.
-
-        Returns ``(full, header_only, guard)``:
-
-        * ``full`` -- every eligible rule, paired with its fast-path flag,
-          for payload packets that might involve pattern rules;
-        * ``header_only`` -- the non-prefiltered subset, walked for
-          payload-less packets (pattern rules never fire on those) and for
-          payload packets the guard proves pattern-rule-free;
-        * ``guard`` -- ``None`` when the bucket has no prefiltered rules,
-          else ``(gate, span, tables)`` deciding whether an empty scan
-          result lets the hot loop skip every prefiltered call: it may
-          unless some stream rule holds flow state (``tables`` are their
-          live ``_streams`` dicts) or a pattern could start inside the
-          packet's would-be carried tail (``gate`` is the union of the
-          stream rules' first-byte classes, searched over the trailing
-          ``span`` bytes -- a superset of each rule's own store gate, so
-          a combined miss implies every per-rule store is a no-op).
-        """
-        flag_bits = key & 0x3F
-        sport = (key >> 6) & 0x1FFFF
-        dport = (key >> 23) & 0x1FFFF
-        proto = _PROTOS[key >> 40]
-        sport = -1 if sport == 0x10000 else sport
-        dport = -1 if dport == 0x10000 else dport
-        s = self._sensitivity
-        bucket = []
-        for rule in self.rules:
-            if s < rule.min_sensitivity:
-                continue
-            rule_proto, rule_dports, rule_ports, rule_flags = \
-                rule.dispatch_constraints()
-            if rule_proto is not None and proto is not rule_proto:
-                continue
-            if rule_dports is not None and dport not in rule_dports:
-                continue
-            if rule_ports is not None and dport not in rule_ports \
-                    and sport not in rule_ports:
-                continue
-            if rule_flags is not None \
-                    and (flag_bits & int(rule_flags)) != int(rule_flags):
-                continue
-            # exact-type check: a subclass overriding match() must not be
-            # silently routed through the inherited prefiltered path
-            if type(rule) in (PayloadPatternRule, StreamPatternRule):
-                bucket.append((rule.match_prefiltered, True))
-            else:
-                bucket.append((rule.match, False))
-        stream_rules = [fn.__self__ for fn, pref in bucket
-                        if pref and type(fn.__self__) is StreamPatternRule]
-        if any(pref for _, pref in bucket):
-            # tail_len 0 means single-byte patterns: no tail is ever
-            # carried, so such rules need no store gate either
-            stream_rules = [r for r in stream_rules if r._tail_len]
-            if stream_rules:
-                first = sorted({p[0] for r in stream_rules for p in r.patterns})
-                gate = re.compile(
-                    b"[" + b"".join(re.escape(bytes((b,))) for b in first)
-                    + b"]")
-                span = max(r._tail_len for r in stream_rules)
-                guard = (gate, span, tuple(r._streams for r in stream_rules))
-            else:
-                guard = (None, 0, ())
-        else:
-            guard = None
-        result = (tuple(bucket),
-                  tuple(fn for fn, pref in bucket if not pref),
-                  guard)
-        self._dispatch[key] = result
-        return result
-
-    def dispatch_rules(self, pkt: Packet) -> List[SignatureRule]:
-        """The rules the indexed kernel would visit for ``pkt`` (testing /
-        introspection aid)."""
-        if self._linear:
-            return [r for r in self.rules
-                    if self._sensitivity >= r.min_sensitivity]
-        bucket = self._dispatch.get(self._key(pkt))
-        if bucket is None:
-            bucket = self._build_bucket(self._key(pkt))
-        return [fn.__self__ for fn, _ in bucket[0]]
-
-    def _key(self, pkt: Packet) -> int:
-        """The packet's dispatch key: proto id, normalized ports (any port
-        outside the rules' interest sets collapses to the ``any`` value
-        0x10000), and masked flag bits, packed into one int -- int keys
-        hash at C speed, tuple keys do not."""
-        return ((pkt.proto_id << 40)
-                | ((pkt.dport if pkt.dport in self._dports_of_interest
-                    else 0x10000) << 23)
-                | ((pkt.sport if pkt.sport in self._sports_of_interest
-                    else 0x10000) << 6)
-                | (pkt.flag_bits & self._flags_mask))
-
-    # ------------------------------------------------------------------
     def inspect(self, pkt: Packet, now: float) -> List[RuleMatch]:
-        """Run every enabled rule that can fire against the packet."""
+        """Run every enabled rule against the packet."""
         self.packets_inspected += 1
         s = self._sensitivity
         # hits are rare: plain .append on the hit path beats paying a
         # bound-method binding on every packet
         hits: List[RuleMatch] = []
-        if self._linear:
-            for rule in self.rules:
-                if s < rule.min_sensitivity:
-                    continue
-                m = rule.match(pkt, now, s)
-                if m is not None:
-                    hits.append(m)
-        else:
-            dispatch, dports, sports, flags_mask, scan = self._hot
-            key = ((pkt.proto_id << 40)
-                   | ((pkt.dport if pkt.dport in dports else 0x10000) << 23)
-                   | ((pkt.sport if pkt.sport in sports else 0x10000) << 6)
-                   | (pkt.flag_bits & flags_mask))
-            bucket = dispatch.get(key)
-            if bucket is None:
-                bucket = self._build_bucket(key)
-            payload = pkt.payload
-            guard = bucket[2]
-            if payload is None or guard is None:
-                # pattern rules never fire on logical payloads (and touch
-                # no stream state for them): walk the header-only bucket
-                for fn in bucket[1]:
-                    m = fn(pkt, now, s)
-                    if m is not None:
-                        hits.append(m)
-            else:
-                matched = scan(payload)
-                skip = False
-                if not matched:
-                    # nothing matched anywhere in the payload; prefiltered
-                    # calls are no-ops unless stream state is in play
-                    gate, span, tables = guard
-                    if gate is None or pkt.proto is not Protocol.TCP:
-                        skip = True
-                    else:
-                        plen = len(payload)
-                        if gate.search(
-                                payload,
-                                plen - span if plen > span else 0) is None:
-                            # suffix gate miss: no stream rule will store a
-                            # tail off this packet.  The only remaining
-                            # side effect would be on an existing entry for
-                            # this flow; with the flow key absent from
-                            # every table, each prefiltered call is a
-                            # provable no-op.
-                            skip = True
-                            flow = (pkt.src.value, pkt.sport,
-                                    pkt.dst.value, pkt.dport)
-                            for table in tables:
-                                if flow in table:
-                                    skip = False
-                                    break
-                if skip:
-                    for fn in bucket[1]:
-                        m = fn(pkt, now, s)
-                        if m is not None:
-                            hits.append(m)
-                else:
-                    for fn, prefiltered in bucket[0]:
-                        if prefiltered:
-                            m = fn(pkt, now, s, matched)
-                        else:
-                            m = fn(pkt, now, s)
-                        if m is not None:
-                            hits.append(m)
+        for rule in self.rules:
+            if s < rule.min_sensitivity:
+                continue
+            m = rule.match(pkt, now, s)
+            if m is not None:
+                hits.append(m)
         self.matches += len(hits)
         return hits
 
@@ -852,14 +477,13 @@ def default_ruleset(payload_inspection: bool = True) -> List[SignatureRule]:
                 p.proto is Protocol.TCP
                 and p.flag_bits & syn_ack == syn) else None,
             value_fn=lambda p: p.dport,
-            threshold=40, window_s=5.0, proto=Protocol.TCP,
-            flags=TcpFlags.SYN,
+            threshold=40, window_s=5.0,
             category="portscan", severity=Severity.MEDIUM),
         ThresholdRule(
             "icmp-sweep",
             key_fn=lambda p: p.src.value if p.proto is Protocol.ICMP else None,
             value_fn=lambda p: p.dst.value,
-            threshold=8, window_s=5.0, proto=Protocol.ICMP,
+            threshold=8, window_s=5.0,
             category="host-sweep", severity=Severity.LOW),
         # --- flooding --------------------------------------------------
         ThresholdRule(
@@ -868,15 +492,14 @@ def default_ruleset(payload_inspection: bool = True) -> List[SignatureRule]:
                 p.proto is Protocol.TCP
                 and p.flag_bits & syn_ack == syn) else None,
             value_fn=lambda p: ThresholdRule.COUNT,
-            threshold=600, window_s=2.0, proto=Protocol.TCP,
-            flags=TcpFlags.SYN,
+            threshold=600, window_s=2.0,
             category="syn-flood", severity=Severity.HIGH),
         ThresholdRule(
             "udp-flood",
             key_fn=lambda p: p.dst.value if p.proto is Protocol.UDP
             and p.dport not in (7000,) else None,
             value_fn=lambda p: ThresholdRule.COUNT,
-            threshold=1500, window_s=2.0, proto=Protocol.UDP,
+            threshold=1500, window_s=2.0,
             category="udp-flood", severity=Severity.HIGH),
         # --- brute force -----------------------------------------------
         ThresholdRule(
@@ -884,7 +507,7 @@ def default_ruleset(payload_inspection: bool = True) -> List[SignatureRule]:
             key_fn=lambda p: (p.src.value, p.dst.value) if (
                 p.proto is Protocol.TCP and p.dport == 23) else None,
             value_fn=lambda p: ThresholdRule.COUNT,
-            threshold=60, window_s=10.0, proto=Protocol.TCP, dports=(23,),
+            threshold=60, window_s=10.0,
             category="brute-force", severity=Severity.HIGH),
     ]
     if payload_inspection:
@@ -927,9 +550,6 @@ class _LongUriRule(SignatureRule):
                          severity=Severity.LOW, min_sensitivity=0.55,
                          base_score=0.35)
 
-    def dispatch_constraints(self):
-        return (Protocol.TCP, frozenset((80,)), None, None)
-
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
         if pkt.payload is None or pkt.proto is not Protocol.TCP or pkt.dport != 80:
             return None
@@ -958,9 +578,6 @@ class _OddPortRule(SignatureRule):
         super().__init__("odd-port-service", category="suspicious-connection",
                          severity=Severity.LOW, min_sensitivity=0.7,
                          base_score=0.3)
-
-    def dispatch_constraints(self):
-        return (Protocol.TCP, None, None, TcpFlags.SYN)
 
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
         if pkt.proto is not Protocol.TCP:

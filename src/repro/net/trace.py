@@ -28,55 +28,31 @@ Binary layout (little-endian)::
 
 Data plane
 ----------
-The format has one codec but two implementations.  ``save``/``load``/
-``to_bytes``/``from_bytes`` run the *batched* implementation: encode packs
-every record into one joined buffer and issues a single write; decode maps
-the whole file (``mmap`` when possible) and walks it with
-``struct.unpack_from`` offsets, slicing payload bytes straight out of the
-single buffer instead of issuing one ``read`` per field.  The original
-per-record stream loop is kept verbatim as ``_write``/``_read`` -- the v1
-reference the round-trip property tests compare against byte-for-byte.
-
-Replay likewise has two modes (:data:`DEFAULT_REPLAY_MODE`,
-:func:`use_replay_mode`): ``"scheduled"`` heap-inserts one event per record
-up front (the reference), while ``"batched"`` drives the whole sorted
-stream through a single reusable engine cursor
-(:meth:`repro.sim.engine.Engine.schedule_stream`).  The cursor reserves the
-same sequence-number block eager scheduling would have consumed, so event
-ordering -- including ties against unrelated events -- is identical.
+``save``/``to_bytes`` pack every record into one joined buffer and issue a
+single write; ``load``/``from_bytes`` map the whole file (``mmap`` when
+possible) and walk it with ``struct.unpack_from`` offsets, slicing payload
+bytes straight out of the single buffer.  :meth:`Trace.replay` drives the
+whole sorted stream through a single reusable engine cursor
+(:meth:`repro.sim.engine.Engine.schedule_stream`), which reserves the
+sequence-number block one-event-per-record scheduling would have consumed,
+so event ordering -- including ties against unrelated events -- is the
+same as if every record had been scheduled up front.
 """
 
 from __future__ import annotations
 
 import heapq
-import io
 import mmap
 import os
 import struct
-from contextlib import contextmanager
-from typing import (
-    BinaryIO,
-    Callable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import TraceFormatError
 from ..sim.engine import Engine, EventHandle
 from .address import IPv4Address
 from .packet import Packet, Protocol, TcpFlags
 
-__all__ = [
-    "TimedPacket",
-    "Trace",
-    "TraceRecorder",
-    "REPLAY_MODES",
-    "DEFAULT_REPLAY_MODE",
-    "use_replay_mode",
-]
+__all__ = ["TimedPacket", "Trace", "TraceRecorder"]
 
 _MAGIC = b"RTRC"
 _VERSION = 1
@@ -84,31 +60,6 @@ _HEADER = struct.Struct("<4sHI")
 _RECORD = struct.Struct("<dIIHHBBIIIIH")
 _PROTO_CODE = {Protocol.TCP: 0, Protocol.UDP: 1, Protocol.ICMP: 2}
 _CODE_PROTO = {v: k for k, v in _PROTO_CODE.items()}
-
-#: The selectable replay modes (identical delivery order; see module doc).
-REPLAY_MODES = ("batched", "scheduled")
-
-#: Mode used when ``Trace.replay`` is called without an explicit ``mode=``.
-DEFAULT_REPLAY_MODE = "batched"
-
-
-def _check_replay_mode(mode: str) -> str:
-    if mode not in REPLAY_MODES:
-        raise TraceFormatError(
-            f"unknown replay mode {mode!r}; expected one of {REPLAY_MODES}")
-    return mode
-
-
-@contextmanager
-def use_replay_mode(mode: str) -> Iterator[None]:
-    """Temporarily change the default replay mode (benchmarks/tests)."""
-    global DEFAULT_REPLAY_MODE
-    previous = DEFAULT_REPLAY_MODE
-    DEFAULT_REPLAY_MODE = _check_replay_mode(mode)
-    try:
-        yield
-    finally:
-        DEFAULT_REPLAY_MODE = previous
 
 
 class TimedPacket(Tuple[float, Packet]):
@@ -215,11 +166,7 @@ class Trace:
             fileobj_or_path.write(self._encode())
 
     def _encode(self) -> bytes:
-        """Batched encoder: pack every record, join, one buffer out.
-
-        Byte-identical to the v1 stream loop ``_write`` (same structs, same
-        field order), proven by the round-trip property tests.
-        """
+        """Pack every record, join, one buffer out."""
         parts = [_HEADER.pack(_MAGIC, _VERSION, len(self._records))]
         pack = _RECORD.pack
         append = parts.append
@@ -245,34 +192,6 @@ class Trace:
             if attack:
                 append(attack)
         return b"".join(parts)
-
-    def _write(self, fh: BinaryIO) -> None:
-        """v1 reference encoder: one ``write`` per field group per record.
-
-        Kept unchanged as the differential baseline for ``_encode``.
-        """
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, len(self._records)))
-        for t, p in self._records:
-            payload = p.payload or b""
-            attack = (p.attack_id or "").encode("utf-8")
-            fh.write(
-                _RECORD.pack(
-                    t,
-                    p.src.value,
-                    p.dst.value,
-                    p.sport,
-                    p.dport,
-                    _PROTO_CODE[p.proto],
-                    int(p.flags),
-                    p.seq & 0xFFFFFFFF,
-                    p.ack & 0xFFFFFFFF,
-                    p.payload_len,
-                    len(payload),
-                    len(attack),
-                )
-            )
-            fh.write(payload)
-            fh.write(attack)
 
     @classmethod
     def load(cls, fileobj_or_path, name: Optional[str] = None) -> "Trace":
@@ -303,13 +222,11 @@ class Trace:
 
     @classmethod
     def _decode(cls, buf, name: str) -> "Trace":
-        """Batched decoder over one ``bytes``/``mmap`` buffer.
+        """Decode one ``bytes``/``mmap`` buffer.
 
         ``unpack_from`` walks fixed offsets with no per-record reads;
         payloads are sliced straight out of the buffer (an ``mmap`` slice
-        materializes only the pages actually touched).  Decodes exactly the
-        records -- and raises exactly the errors -- of the v1 stream loop
-        ``_read``.
+        materializes only the pages actually touched).
         """
         end = len(buf)
         if end < _HEADER.size:
@@ -360,49 +277,6 @@ class Trace:
             records.append(TimedPacket(t, pkt))
         return trace
 
-    @classmethod
-    def _read(cls, fh: BinaryIO, name: str) -> "Trace":
-        """v1 reference decoder: one stream read per field group.
-
-        Kept unchanged as the differential baseline for ``_decode``.
-        """
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise TraceFormatError("truncated trace header")
-        magic, version, count = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise TraceFormatError(f"bad magic {magic!r}")
-        if version != _VERSION:
-            raise TraceFormatError(f"unsupported trace version {version}")
-        trace = cls(name)
-        for _ in range(count):
-            raw = fh.read(_RECORD.size)
-            if len(raw) != _RECORD.size:
-                raise TraceFormatError("truncated trace record")
-            (t, src, dst, sport, dport, proto_code, flags,
-             seq, ack, plen, blen, alen) = _RECORD.unpack(raw)
-            payload = fh.read(blen) if blen else None
-            if payload is not None and len(payload) != blen:
-                raise TraceFormatError("truncated payload")
-            attack_raw = fh.read(alen)
-            if len(attack_raw) != alen:
-                raise TraceFormatError("truncated attack id")
-            pkt = Packet(
-                src=IPv4Address(src),
-                dst=IPv4Address(dst),
-                sport=sport,
-                dport=dport,
-                proto=_CODE_PROTO[proto_code],
-                flags=TcpFlags(flags),
-                seq=seq,
-                ack=ack,
-                payload=payload,
-                payload_len=plen,
-                attack_id=attack_raw.decode("utf-8") if alen else None,
-            )
-            trace._records.append(TimedPacket(t, pkt))
-        return trace
-
     def to_bytes(self) -> bytes:
         return self._encode()
 
@@ -434,30 +308,20 @@ class Trace:
         sink: Callable[[Packet], None],
         start_at: float = 0.0,
         speedup: float = 1.0,
-        mode: Optional[str] = None,
     ) -> Optional[EventHandle]:
         """Feed every record to ``sink`` on ``engine``'s clock.
 
         ``speedup > 1`` compresses inter-packet gaps (a rate-scaling knob for
-        throughput sweeps); packet *content* is unchanged.  ``mode`` selects
-        the delivery mechanism (``None`` = :data:`DEFAULT_REPLAY_MODE`);
-        both modes produce identical event ordering, and the returned handle
-        (batched mode) cancels the not-yet-delivered remainder.
+        throughput sweeps); packet *content* is unchanged.  The returned
+        handle cancels the not-yet-delivered remainder (``None`` for an
+        empty trace).
         """
         if speedup <= 0:
             raise TraceFormatError("speedup must be positive")
-        mode = _check_replay_mode(
-            DEFAULT_REPLAY_MODE if mode is None else mode)
         if not self._records:
             return None
-        if mode == "batched":
-            return engine.schedule_stream(
-                self._records, sink, start_at=start_at, speedup=speedup)
-        t0 = self._records[0].time
-        for t, pkt in self._records:
-            at = start_at + (t - t0) / speedup
-            engine.schedule_at(at, sink, pkt)
-        return None
+        return engine.schedule_stream(
+            self._records, sink, start_at=start_at, speedup=speedup)
 
 
 class TraceRecorder:

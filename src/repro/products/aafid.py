@@ -11,7 +11,7 @@ robustness.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import ConfigurationError
 from ..ids.analyzer import Analyzer
@@ -60,14 +60,8 @@ class AafidProduct(Product):
         trend_analysis=False,
     )
 
-    def __init__(self, logging_level: LoggingLevel = LoggingLevel.C2,
-                 engine: Optional[str] = None,
-                 anomaly_path: Optional[str] = None) -> None:
+    def __init__(self, logging_level: LoggingLevel = LoggingLevel.C2) -> None:
         self.logging_level = logging_level
-        # ``engine`` (the signature-kernel knob) and ``anomaly_path`` are
-        # accepted for a uniform product constructor signature; AAFID is
-        # host-based and runs neither network engine
-        del engine, anomaly_path
 
     def deploy(self, engine: Engine, testbed: LanTestbed) -> Deployment:
         if not testbed.hosts:

@@ -10,8 +10,6 @@ positive ratio and an in-line balancer latency.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ids.analyzer import Analyzer
 from ..ids.console import ManagementConsole
 from ..ids.loadbalancer import DynamicBalancer
@@ -62,23 +60,15 @@ class ManhuntProduct(Product):
         trend_analysis=True,
     )
 
-    def __init__(self, sensitivity: float = 0.5, n_sensors: int = 4,
-                 engine: Optional[str] = None,
-                 anomaly_path: Optional[str] = None) -> None:
+    def __init__(self, sensitivity: float = 0.5, n_sensors: int = 4) -> None:
         self.sensitivity = sensitivity
         self.n_sensors = n_sensors
-        self.anomaly_path = anomaly_path
-        # ``engine`` (the signature-kernel knob) is accepted for a uniform
-        # product constructor signature; ManHunt's sensors are anomaly
-        # detectors, so the knob has nothing to select
-        del engine
 
     def deploy(self, engine: Engine, testbed: LanTestbed) -> Deployment:
         sensors = [
             Sensor(
                 engine, f"mh-sensor{i}",
-                AnomalyDetector(sensitivity=self.sensitivity,
-                                path=self.anomaly_path),
+                AnomalyDetector(sensitivity=self.sensitivity),
                 ops_rate=80e6,
                 header_ops=400.0,
                 per_byte_ops=6.0,    # flow-level analysis: light payload touch

@@ -8,8 +8,6 @@ balancing, cold-reboot failure behaviour, and limited remote management.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ids.analyzer import Analyzer
 from ..ids.console import ManagementConsole
 from ..ids.loadbalancer import NoBalancer
@@ -59,22 +57,13 @@ class NidProduct(Product):
         trend_analysis=False,
     )
 
-    def __init__(self, sensitivity: float = 0.5,
-                 engine: Optional[str] = None,
-                 anomaly_path: Optional[str] = None) -> None:
+    def __init__(self, sensitivity: float = 0.5) -> None:
         self.sensitivity = sensitivity
-        #: signature matching kernel ("indexed" | "linear"; None = ambient
-        #: default), forwarded to every deployed SignatureDetector
-        self.engine_kind = engine
-        # ``anomaly_path`` is accepted for a uniform product constructor
-        # signature; this product deploys no anomaly engine
-        del anomaly_path
 
     def deploy(self, engine: Engine, testbed: LanTestbed) -> Deployment:
         sensor = Sensor(
             engine, "nid-sensor",
-            SignatureDetector(sensitivity=self.sensitivity,
-                              engine_kind=self.engine_kind),
+            SignatureDetector(sensitivity=self.sensitivity),
             ops_rate=60e6,
             header_ops=500.0,
             per_byte_ops=25.0,

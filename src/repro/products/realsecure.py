@@ -8,8 +8,6 @@ SNMP response.  Service-restart failure behaviour.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ids.analyzer import Analyzer
 from ..ids.console import ManagementConsole
 from ..ids.host import HostAgent, LoggingLevel
@@ -60,24 +58,15 @@ class RealSecureProduct(Product):
         trend_analysis=True,
     )
 
-    def __init__(self, sensitivity: float = 0.5, n_sensors: int = 2,
-                 engine: Optional[str] = None,
-                 anomaly_path: Optional[str] = None) -> None:
+    def __init__(self, sensitivity: float = 0.5, n_sensors: int = 2) -> None:
         self.sensitivity = sensitivity
         self.n_sensors = n_sensors
-        #: signature matching kernel ("indexed" | "linear"; None = ambient
-        #: default), forwarded to every deployed SignatureDetector
-        self.engine_kind = engine
-        # ``anomaly_path`` is accepted for a uniform product constructor
-        # signature; this product deploys no anomaly engine
-        del anomaly_path
 
     def deploy(self, engine: Engine, testbed: LanTestbed) -> Deployment:
         sensors = [
             Sensor(
                 engine, f"rs-sensor{i}",
-                SignatureDetector(sensitivity=self.sensitivity,
-                                  engine_kind=self.engine_kind),
+                SignatureDetector(sensitivity=self.sensitivity),
                 ops_rate=45e6,
                 header_ops=600.0,
                 per_byte_ops=20.0,

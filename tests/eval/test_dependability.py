@@ -94,6 +94,29 @@ class TestCrashRecoverPlan:
             assert math.isfinite(raw)
 
 
+class TestDropRollup:
+    """Every packet the balancer receives is forwarded or counted as lost,
+    and the deployment roll-up includes every balancer loss."""
+
+    def test_cascade_balancer_losses_reach_rollup(self):
+        testbed = EvalTestbed(ManhuntProduct(), n_hosts=3, seed=0,
+                              train_duration_s=4.0)
+        scenario = testbed.make_scenario(duration_s=10.0)
+        run_scenario_under_faults(testbed, scenario, named_plan("cascade"))
+        deployment = testbed.deployment
+        balancer = deployment.pipeline.balancer
+        assert balancer.received == (balancer.forwarded + balancer.dropped
+                                     + balancer.dropped_down
+                                     + balancer.shed_no_sensor)
+        lost = (balancer.dropped + balancer.dropped_down
+                + balancer.shed_no_sensor)
+        assert balancer.dropped_down > 0 and balancer.shed_no_sensor > 0
+        assert lost == 846
+        sensor_drops = sum(s.dropped_overload + s.dropped_down
+                           for s in deployment.pipeline.sensors)
+        assert deployment.packets_dropped == lost + sensor_drops
+
+
 class TestRunnerWiring:
     def test_measure_scenario_populates_dependability(self):
         options = EvaluationOptions(

@@ -111,9 +111,11 @@ class TestWorkPlan:
         assert len(set(keys)) == len(keys)
 
     def test_key_ignores_execution_knobs(self):
-        unit = WorkUnit(0, "a", "scenario")
-        assert (unit_key(unit, options(workers=1)) ==
-                unit_key(unit, options(workers=8, cache_dir="/anywhere")))
+        for unit in (WorkUnit(0, "a", "scenario"),
+                     WorkUnit(0, "a", "rate", 500.0)):
+            assert (unit_key(unit, options(workers=1)) ==
+                    unit_key(unit, options(workers=8,
+                                           cache_dir="/anywhere")))
 
     def test_key_tracks_measurement_options(self):
         unit = WorkUnit(0, "a", "scenario")
@@ -128,12 +130,12 @@ class TestWorkPlan:
         assert (unit_key(unit, options(throughput_rates_pps=(500, 1200))) ==
                 unit_key(unit, options(throughput_rates_pps=(500, 9000))))
 
-    def test_engine_knob_changes_every_key(self):
-        # kernel A/B runs must never read each other's cached results,
-        # for scenario and rate units alike
-        for unit in plan_units(["a"], options()):
-            assert (unit_key(unit, options(engine="indexed")) !=
-                    unit_key(unit, options(engine="linear")))
+    def test_scenario_key_tracks_rate_list(self):
+        # the scenario unit is keyed on every measurement field, the
+        # sweep list included; only rate units drop it
+        unit = WorkUnit(0, "a", "scenario")
+        assert (unit_key(unit, options(throughput_rates_pps=(500, 1200))) !=
+                unit_key(unit, options(throughput_rates_pps=(500, 9000))))
 
 
 class TestResultCache:
@@ -170,22 +172,6 @@ class TestResultCache:
         evaluate_product(AafidProduct, changed)
         assert last_cache_stats().misses >= 1
         assert last_cache_stats().hits <= 1
-
-    def test_engine_flip_is_a_cache_miss_with_identical_results(self,
-                                                                tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        indexed = evaluate_product(NidProduct, options(
-            cache_dir=cache_dir, throughput_rates_pps=(500,),
-            engine="indexed"))
-        assert last_cache_stats().stores == 2
-        linear = evaluate_product(NidProduct, options(
-            cache_dir=cache_dir, throughput_rates_pps=(500,),
-            engine="linear"))
-        stats = last_cache_stats()
-        # the flipped knob must miss everything and recompute...
-        assert stats.hits == 0 and stats.stores == 2
-        # ...yet the kernels are measurement-identical by construction
-        assert linear == indexed
 
     def test_shared_cache_across_worker_counts(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -1,33 +1,33 @@
-"""Differential testing: the fast anomaly path must equal the baseline.
+"""Differential testing: the anomaly engine must equal its reference.
 
-The fast :class:`~repro.ids.anomaly.AnomalyEngine` path is an
-optimization, not a behaviour change: for any training stream, any live
-stream, and any sensitivity -- including sensitivity changed *mid-run* --
-it must produce the same ``(feature, score)`` transcripts, the same
-detection counter, and the same trained baseline as the reference path.
-Hypothesis drives both paths over randomized traffic that deliberately
-hits the fast path's edges: ICMP (no ports, size-z feature), sub-32-byte
+:class:`~repro.ids.anomaly.AnomalyEngine` memoizes payload features and
+scores against int-keyed tables; the per-call
+:class:`~tests.oracles.anomaly_reference.ReferenceAnomalyEngine` does
+neither.  For any training stream, any live stream, and any sensitivity --
+including sensitivity changed *mid-run* -- both must produce the same
+``(feature, score)`` transcripts and the same detection counter.
+Hypothesis drives both over randomized traffic that deliberately hits the
+production engine's edges: ICMP (no ports, size-z feature), sub-32-byte
 payloads (below the entropy gate), text/binary token boundaries, and
 payloads longer than the 256-byte entropy sample.
 
 The payload feature helpers get their own bit-exactness properties:
 ``shannon_entropy_prefix`` vs a sliced ``shannon_entropy``, and
-``_token_fast`` vs the baseline ``AnomalyEngine._token``.
+``_token_fast`` vs the oracle's per-byte ``reference_token``.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ids.anomaly import (
-    ANOMALY_PATHS,
-    AnomalyEngine,
-    _token_fast,
-    use_anomaly_path,
-)
+from repro.ids.anomaly import AnomalyEngine, _token_fast
 from repro.net.address import IPv4Address
 from repro.net.packet import Packet, Protocol, TcpFlags
 from repro.traffic.payload import shannon_entropy, shannon_entropy_prefix
+from tests.oracles.anomaly_reference import (
+    ReferenceAnomalyEngine,
+    reference_token,
+)
 
 ADDRESSES = tuple(IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3, 4))
 PORTS = (22, 80, 7000, 7101, 40000)
@@ -94,13 +94,13 @@ def packet_stream(max_events):
 # ----------------------------------------------------------------------
 # the differential harness
 # ----------------------------------------------------------------------
-def run_path(path, train, live, sensitivity, mid_run_sensitivity=None):
+def run_engine(engine_cls, train, live, sensitivity, mid_run_sensitivity=None):
     """Full transcript of one engine over a (train, live) split.
 
-    Packets are rebuilt per run via :meth:`Packet.copy` so one path's
+    Packets are rebuilt per run via :meth:`Packet.copy` so one engine's
     derived-feature memos can never leak into the other's inputs.
     """
-    engine = AnomalyEngine(sensitivity=sensitivity, path=path)
+    engine = engine_cls(sensitivity=sensitivity)
     now = 0.0
     for dt, pkt in train:
         now += dt
@@ -116,10 +116,11 @@ def run_path(path, train, live, sensitivity, mid_run_sensitivity=None):
     return out, engine.packets_inspected, engine.detections
 
 
-def assert_paths_agree(train, live, sensitivity, mid_run=None):
-    baseline = run_path("baseline", train, live, sensitivity, mid_run)
-    fast = run_path("fast", train, live, sensitivity, mid_run)
-    assert fast == baseline
+def assert_engines_agree(train, live, sensitivity, mid_run=None):
+    reference = run_engine(ReferenceAnomalyEngine, train, live, sensitivity,
+                         mid_run)
+    fast = run_engine(AnomalyEngine, train, live, sensitivity, mid_run)
+    assert fast == reference
 
 
 class TestPayloadFeatureExactness:
@@ -135,7 +136,7 @@ class TestPayloadFeatureExactness:
     def test_token_fast_value_equal(self, payload):
         pkt = Packet(src=ADDRESSES[0], dst=ADDRESSES[1], sport=80, dport=80,
                      payload=payload)
-        assert _token_fast(payload) == AnomalyEngine._token(pkt)
+        assert _token_fast(payload) == reference_token(pkt)
 
 
 class TestDifferential:
@@ -144,7 +145,7 @@ class TestDifferential:
     @given(train=packet_stream(20), live=packet_stream(20),
            sensitivity=st.sampled_from(SENSITIVITIES))
     def test_random_streams(self, train, live, sensitivity):
-        assert_paths_agree(train, live, sensitivity)
+        assert_engines_agree(train, live, sensitivity)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -152,11 +153,11 @@ class TestDifferential:
            s1=st.sampled_from(SENSITIVITIES),
            s2=st.sampled_from(SENSITIVITIES))
     def test_mid_run_sensitivity_change(self, train, live, s1, s2):
-        assert_paths_agree(train, live, s1, mid_run=s2)
+        assert_engines_agree(train, live, s1, mid_run=s2)
 
     def test_icmp_size_feature_agrees(self):
         # deterministic anchor: train a stable ICMP size baseline, then
-        # offer a far-out-of-envelope ping; both paths must flag it with
+        # offer a far-out-of-envelope ping; both engines must flag it with
         # the identical score
         a, b = ADDRESSES[0], ADDRESSES[1]
         train = [(0.1, Packet(src=a, dst=b, proto=Protocol.ICMP,
@@ -164,15 +165,10 @@ class TestDifferential:
                  for i in range(12)]
         live = [(0.1, Packet(src=a, dst=b, proto=Protocol.ICMP,
                              payload=bytes(4000)))]
-        base = run_path("baseline", train, live, 0.5)
-        fast = run_path("fast", train, live, 0.5)
+        base = run_engine(ReferenceAnomalyEngine, train, live, 0.5)
+        fast = run_engine(AnomalyEngine, train, live, 0.5)
         assert fast == base
         assert any(feature == "icmp-size" for _, feature, _ in base[0])
-
-    def test_ambient_default_is_respected(self):
-        for path in ANOMALY_PATHS:
-            with use_anomaly_path(path):
-                assert AnomalyEngine().anomaly_path == path
 
 
 @pytest.mark.slow
@@ -184,7 +180,7 @@ class TestDifferentialDeep:
     @given(train=packet_stream(40), live=packet_stream(40),
            sensitivity=st.sampled_from(SENSITIVITIES))
     def test_random_streams_deep(self, train, live, sensitivity):
-        assert_paths_agree(train, live, sensitivity)
+        assert_engines_agree(train, live, sensitivity)
 
     @pytest.mark.parametrize("sensitivity", SENSITIVITIES)
     def test_cluster_profile_traffic(self, sensitivity):
@@ -201,4 +197,4 @@ class TestDifferentialDeep:
         scenario = cluster_scenario(nodes, duration_s=20.0, seed=7)
         train = [(0.0, p) for _, p in warmup]
         live = [(0.0, p) for _, p in scenario.trace]
-        assert_paths_agree(train[:1500], live[:3000], sensitivity)
+        assert_engines_agree(train[:1500], live[:3000], sensitivity)

@@ -1,8 +1,14 @@
 """Tests for the load-balancing strategies."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.net.address import IPv4Address, Subnet
 from repro.net.packet import Packet, Protocol
@@ -120,6 +126,40 @@ class TestHashBalancer:
                           sport=int(rng.integers(1024, 65000))))
         eng.run()
         assert lb.balance_evenness() > 0.95
+
+
+#: One RealSecure load probe; prints the hash balancer's per-sensor counts.
+_PROBE_SCRIPT = """
+import json
+from repro.eval.throughput import probe_rate
+from repro.products import RealSecureProduct
+
+class Recorded(RealSecureProduct):
+    def deploy(self, engine, testbed):
+        self.deployment = super().deploy(engine, testbed)
+        return self.deployment
+
+product = Recorded()
+probe_rate(product, 4000.0, duration_s=0.3)
+print(json.dumps(product.deployment.pipeline.balancer.per_sensor_count))
+"""
+
+
+class TestHashBalancerDeterminism:
+    def test_assignment_independent_of_hash_seed(self):
+        # str hashes are salted per process; the flow hash must not be
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        counts = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = subprocess.run([sys.executable, "-c", _PROBE_SCRIPT],
+                                 env=env, capture_output=True, text=True,
+                                 check=True).stdout
+            counts.append(json.loads(out))
+        assert counts[0] == counts[1]
+        assert len(counts[0]) == 2 and all(counts[0].values())
 
 
 class TestDynamicBalancer:

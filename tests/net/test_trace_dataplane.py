@@ -1,12 +1,13 @@
-"""The trace data plane: batched codec vs the v1 loops, batched replay
+"""The trace data plane: batched codec vs the v1 loops, stream replay
 vs eager scheduling, and the cached trace statistics.
 
-The batched ``_encode``/``_decode`` pair must be *byte-identical* (encode)
-and *field-identical* (decode) to the per-record ``_write``/``_read``
-loops kept in-tree as the reference, over arbitrary traces -- including
-payload-less packets, logical-length-only packets, and attack labels.
-Batched replay must deliver the same events in the same order as eager
-per-record scheduling, including ties against unrelated events.
+The batched ``to_bytes``/``from_bytes`` pair must be *byte-identical*
+(encode) and *field-identical* (decode) to the per-record
+``write``/``read`` loops of the ``tests/oracles/trace_v1.py`` oracle, over
+arbitrary traces -- including payload-less packets, logical-length-only
+packets, and attack labels.  :meth:`Trace.replay` must deliver the same
+events in the same order as the oracle's eager per-record scheduling,
+including ties against unrelated events.
 """
 
 import io
@@ -19,13 +20,9 @@ from hypothesis import strategies as st
 from repro.errors import TraceFormatError
 from repro.net.address import IPv4Address
 from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.trace import (
-    DEFAULT_REPLAY_MODE,
-    REPLAY_MODES,
-    Trace,
-    use_replay_mode,
-)
+from repro.net.trace import Trace
 from repro.sim.engine import Engine
+from tests.oracles import trace_v1
 
 A = IPv4Address("10.0.0.1")
 B = IPv4Address("10.0.0.2")
@@ -77,8 +74,8 @@ class TestCodecEquivalence:
     @given(trace=traces())
     def test_batched_encode_matches_v1_bytes(self, trace):
         buf = io.BytesIO()
-        trace._write(buf)
-        assert trace._encode() == buf.getvalue()
+        trace_v1.write(trace, buf)
+        assert trace.to_bytes() == buf.getvalue()
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -86,7 +83,7 @@ class TestCodecEquivalence:
     def test_batched_decode_matches_v1_fields(self, trace):
         data = trace.to_bytes()
         batched = Trace.from_bytes(data, name=trace.name)
-        looped = Trace._read(io.BytesIO(data), trace.name)
+        looped = trace_v1.read(io.BytesIO(data), trace.name)
         assert fields(batched) == fields(looped)
 
     @settings(max_examples=80, deadline=None,
@@ -110,7 +107,7 @@ class TestCodecEquivalence:
         with pytest.raises(TraceFormatError) as batched_err:
             Trace.from_bytes(bad)
         with pytest.raises(TraceFormatError) as looped_err:
-            Trace._read(io.BytesIO(bad), "trace")
+            trace_v1.read(io.BytesIO(bad), "trace")
         assert str(batched_err.value) == str(looped_err.value)
 
 
@@ -187,9 +184,10 @@ class TestCachedStatistics:
 # ----------------------------------------------------------------------
 # replay equivalence
 # ----------------------------------------------------------------------
-def replay_log(trace, mode, speedup=1.0, start_at=0.0, competing=True):
-    """Event log of a replay, with competing same-time events interleaved
-    and one event scheduled from inside the sink."""
+def replay_log(trace, replay, speedup=1.0, start_at=0.0, competing=True):
+    """Event log of ``replay(trace, engine, sink, start_at, speedup)``, with
+    competing same-time events interleaved and one event scheduled from
+    inside the sink."""
     engine = Engine()
     log = []
     if competing:
@@ -204,7 +202,7 @@ def replay_log(trace, mode, speedup=1.0, start_at=0.0, competing=True):
             scheduled_inner.append(True)
             engine.schedule(0.0, log.append, ("inner", engine.now))
 
-    trace.replay(engine, sink, start_at=start_at, speedup=speedup, mode=mode)
+    replay(trace, engine, sink, start_at, speedup)
     engine.run()
     return log
 
@@ -226,8 +224,9 @@ class TestReplayEquivalence:
            speedup=st.sampled_from((0.5, 1.0, 4.0)),
            start_at=st.sampled_from((0.0, 3.0)))
     def test_batched_equals_scheduled(self, trace, speedup, start_at):
-        assert (replay_log(trace, "batched", speedup, start_at)
-                == replay_log(trace, "scheduled", speedup, start_at))
+        assert (replay_log(trace, Trace.replay, speedup, start_at)
+                == replay_log(trace, trace_v1.replay_scheduled, speedup,
+                              start_at))
 
     def test_cursor_cancel_stops_remainder(self):
         trace = Trace("c")
@@ -241,23 +240,46 @@ class TestReplayEquivalence:
             if pkt.sport == 2:
                 cursor.cancel()
 
-        cursor = trace.replay(engine, sink, mode="batched")
+        cursor = trace.replay(engine, sink)
         engine.run()
         assert seen == [0, 1, 2]
 
-    def test_mode_knob_and_validation(self):
-        assert DEFAULT_REPLAY_MODE in REPLAY_MODES
+    def test_speedup_validation(self):
         trace = Trace("m")
         trace.append(0.0, Packet(src=A, dst=B))
         engine = Engine()
         with pytest.raises(TraceFormatError):
             trace.replay(engine, lambda p: None, speedup=0.0)
-        with pytest.raises(TraceFormatError):
-            trace.replay(engine, lambda p: None, mode="eager")
-        with use_replay_mode("scheduled"):
-            assert trace.replay(Engine(), lambda p: None) is None
+        assert engine.pending == 0
 
     def test_empty_trace_is_a_noop(self):
         engine = Engine()
         assert Trace("e").replay(engine, lambda p: None) is None
         assert engine.pending == 0
+
+
+@pytest.mark.slow
+class TestDataplaneDeep:
+    """The long lane: more examples against the v1 oracle (CI's -m slow
+    lane)."""
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(trace=traces())
+    def test_codec_matches_v1_deep(self, trace):
+        buf = io.BytesIO()
+        trace_v1.write(trace, buf)
+        data = buf.getvalue()
+        assert trace.to_bytes() == data
+        assert (fields(Trace.from_bytes(data, name=trace.name))
+                == fields(trace_v1.read(io.BytesIO(data), trace.name)))
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(trace=replayable_traces(),
+           speedup=st.sampled_from((0.25, 0.5, 1.0, 3.0, 4.0)),
+           start_at=st.sampled_from((0.0, 0.001, 3.0)))
+    def test_replay_matches_scheduled_deep(self, trace, speedup, start_at):
+        assert (replay_log(trace, Trace.replay, speedup, start_at)
+                == replay_log(trace, trace_v1.replay_scheduled, speedup,
+                              start_at))

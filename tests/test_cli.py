@@ -74,23 +74,6 @@ class TestEvaluateAndSweep:
         assert "ranking (realtime):" in text
         assert "sim-nid" in text and "sim-manhunt" in text
 
-    def test_engine_flag_parses_and_defaults(self):
-        parser = build_parser()
-        assert parser.parse_args(
-            ["evaluate", "--quick"]).engine == "indexed"
-        assert parser.parse_args(
-            ["evaluate", "--engine", "linear"]).engine == "linear"
-        assert parser.parse_args(
-            ["sweep", "--product", "nid"]).engine == "indexed"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["evaluate", "--engine", "bogus"])
-
-    def test_quick_evaluate_linear_kernel(self):
-        code, text = run(["evaluate", "--quick", "--products", "nid",
-                          "--profile", "realtime", "--engine", "linear"])
-        assert code == 0
-        assert "sim-nid" in text
-
     def test_sweep_small(self):
         code, text = run(["sweep", "--product", "manhunt", "--points", "2",
                           "--duration", "25"])

@@ -4,7 +4,6 @@ import doctest
 
 import pytest
 
-import repro.ids.multipattern
 import repro.net.address
 import repro.sim.engine
 import repro.sim.process
@@ -16,7 +15,6 @@ MODULES = [
     repro.sim.process,
     repro.sim.rng,
     repro.net.address,
-    repro.ids.multipattern,
     repro.traffic.mixer,
 ]
 
