@@ -9,6 +9,7 @@ run for EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -16,7 +17,7 @@ import tempfile
 import pytest
 
 from repro.core.profiles import realtime_cluster_requirements
-from repro.eval.corpus import corpus_stats, use_corpus
+from repro.eval.parallel import last_corpus_stats
 from repro.eval.runner import EvaluationOptions, evaluate_field
 from repro.products import (
     AafidProduct,
@@ -47,25 +48,24 @@ PRODUCT_FACTORIES = (NidProduct, RealSecureProduct, ManhuntProduct,
 def field_eval():
     """The full section-3.2 evaluation, shared across benches.
 
-    Runs under an ambient trace corpus so the four products share one
-    generation of every scenario/warmup/load trace; the corpus hit/miss
+    Runs against a fresh artifact store so the four products share one
+    generation of every scenario/warmup/load trace; the trace hit/miss
     counters are persisted to ``out/trace_corpus.txt`` alongside the
     other artifacts.
     """
-    root = tempfile.mkdtemp(prefix="bench-trace-corpus-")
-    before = corpus_stats().as_tuple()
+    root = tempfile.mkdtemp(prefix="bench-artifact-store-")
     try:
-        with use_corpus(os.path.join(root, "traces")):
-            result = evaluate_field(list(PRODUCT_FACTORIES),
-                                    realtime_cluster_requirements(),
-                                    E1_OPTIONS)
+        result = evaluate_field(list(PRODUCT_FACTORIES),
+                                realtime_cluster_requirements(),
+                                dataclasses.replace(E1_OPTIONS,
+                                                    cache_dir=root))
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    hits, misses, stores = (a - b for a, b in
-                            zip(corpus_stats().as_tuple(), before))
+    corpus = last_corpus_stats()
     emit("trace_corpus",
          f"trace corpus (E1 field evaluation, {len(PRODUCT_FACTORIES)} "
-         f"products): {hits} hit(s), {misses} miss(es), {stores} store(s)")
+         f"products): {corpus.hits} hit(s), {corpus.misses} miss(es), "
+         f"{corpus.stores} store(s)")
     return result
 
 

@@ -7,14 +7,7 @@ from .accuracy import (
     run_accuracy,
     sensitivity_sweep,
 )
-from .corpus import (
-    CorpusStats,
-    TraceCorpus,
-    clear_corpus,
-    corpus_root,
-    corpus_stats,
-    use_corpus,
-)
+from .corpus import ArtifactStore, open_store, source_digest
 from .dependability import (
     DependabilityReport,
     FaultedRun,
@@ -34,11 +27,9 @@ from .overhead import OverheadReport, logging_level_overhead, measure_host_overh
 from .parallel import (
     DEFAULT_CACHE_DIR,
     CacheStats,
-    ResultCache,
     WorkUnit,
+    WorkUnitError,
     clear_cache,
-    evaluate_field_parallel,
-    evaluate_product_parallel,
     last_cache_stats,
     last_corpus_stats,
 )
@@ -99,19 +90,14 @@ __all__ = [
     "measure_scenario",
     "DEFAULT_CACHE_DIR",
     "CacheStats",
-    "ResultCache",
     "WorkUnit",
+    "WorkUnitError",
     "clear_cache",
-    "evaluate_field_parallel",
-    "evaluate_product_parallel",
     "last_cache_stats",
     "last_corpus_stats",
-    "CorpusStats",
-    "TraceCorpus",
-    "clear_corpus",
-    "corpus_root",
-    "corpus_stats",
-    "use_corpus",
+    "ArtifactStore",
+    "open_store",
+    "source_digest",
     "EvalTestbed",
     "cluster_scenario",
     "ecommerce_scenario",

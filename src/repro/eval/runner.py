@@ -16,18 +16,17 @@ functions over picklable inputs and results:
   the throughput sweep.
 
 :func:`assemble_evaluation` merges completed units back into a
-:class:`ProductEvaluation`.  The serial path below runs the units in-line;
-``repro.eval.parallel`` fans the same units out across a process pool and
-memoizes them on disk (``EvaluationOptions.workers`` / ``cache_dir``),
-producing bit-identical results by construction.
+:class:`ProductEvaluation`.  Every battery run executes its units through
+:func:`repro.eval.parallel.run_units` -- in-line for ``workers=1``, on a
+process pool otherwise, memoized in the artifact store under
+``cache_dir`` -- producing bit-identical results by construction.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+                    Sequence)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dependability import DependabilityReport
@@ -38,7 +37,6 @@ from ..core.scorecard import Scorecard
 from ..core.scoring import WeightedResult, rank_products, weighted_scores
 from ..core.weighting import derive_weights
 from ..products.base import DeploymentSnapshot, Product
-from .corpus import corpus_root, use_corpus
 from .ground_truth import AccuracyResult
 from .latency import (
     LatencyReport,
@@ -92,8 +90,8 @@ class EvaluationOptions:
     fault_severities: Sequence[float] = (0.5, 1.0)
     #: process-pool width; 1 = serial in-process, 0 = one per CPU
     workers: int = 1
-    #: on-disk result cache directory; None disables memoization and the
-    #: shared trace corpus (``<cache_dir>/traces/``)
+    #: artifact store directory (unit results and generated traces);
+    #: None disables memoization
     cache_dir: Optional[str] = None
 
 
@@ -154,25 +152,6 @@ def measure_scenario(
 ) -> ScenarioMeasurement:
     """Run the accuracy scenario and every same-run measurement."""
     opts = options or EvaluationOptions()
-
-    with _unit_corpus(opts):
-        return _measure_scenario(factory, opts)
-
-
-def _unit_corpus(opts: EvaluationOptions):
-    """The trace corpus context for one work unit.
-
-    Activated only when the harness cache is on; without a ``cache_dir``
-    this is a no-op context so an *ambient* corpus (e.g. one a benchmark
-    installed around the whole battery) stays in effect.
-    """
-    if opts.cache_dir is None:
-        return nullcontext()
-    return use_corpus(corpus_root(opts.cache_dir))
-
-
-def _measure_scenario(factory: ProductFactory,
-                      opts: EvaluationOptions) -> ScenarioMeasurement:
     testbed = EvalTestbed(factory(), n_hosts=opts.n_hosts, seed=opts.seed,
                           train_duration_s=opts.train_duration_s,
                           profile=opts.profile)
@@ -221,10 +200,9 @@ def measure_rate(
 ) -> LoadProbe:
     """Offer one load level to a fresh deployment (one throughput unit)."""
     opts = options or EvaluationOptions()
-    with _unit_corpus(opts):
-        return probe_rate(factory(), float(rate_pps),
-                          duration_s=opts.throughput_probe_s,
-                          payload_mode=opts.payload_mode, seed=opts.seed)
+    return probe_rate(factory(), float(rate_pps),
+                      duration_s=opts.throughput_probe_s,
+                      payload_mode=opts.payload_mode, seed=opts.seed)
 
 
 def assemble_evaluation(
@@ -254,20 +232,31 @@ def assemble_evaluation(
 # ----------------------------------------------------------------------
 # the battery
 # ----------------------------------------------------------------------
+def _evaluate_all(factories: Sequence[ProductFactory],
+                  opts: EvaluationOptions) -> Dict[str, ProductEvaluation]:
+    """Run every work unit of every product and assemble one evaluation
+    per product, in factory input order."""
+    from .parallel import run_units  # parallel imports this module
+
+    results = run_units(factories, opts)
+    evaluations: Dict[str, ProductEvaluation] = {}
+    for index in range(len(factories)):
+        units = [unit for unit in results if unit.index == index]
+        (scenario,) = [results[u] for u in units if u.kind == "scenario"]
+        probes = [results[u] for u in units if u.kind == "rate"]
+        evaluation = assemble_evaluation(scenario, probes, opts)
+        evaluations[evaluation.name] = evaluation
+    return evaluations
+
+
 def evaluate_product(
     factory: ProductFactory,
     options: Optional[EvaluationOptions] = None,
 ) -> ProductEvaluation:
     """Run the full measurement battery against one product."""
-    opts = options or EvaluationOptions()
-    if opts.workers != 1 or opts.cache_dir is not None:
-        from .parallel import evaluate_product_parallel
-
-        return evaluate_product_parallel(factory, opts)
-    scenario = measure_scenario(factory, opts)
-    probes = [measure_rate(factory, float(rate), opts)
-              for rate in sorted(opts.throughput_rates_pps)]
-    return assemble_evaluation(scenario, probes, opts)
+    (evaluation,) = _evaluate_all(
+        [factory], options or EvaluationOptions()).values()
+    return evaluation
 
 
 def finish_field(
@@ -298,14 +287,12 @@ def evaluate_field(
     options: Optional[EvaluationOptions] = None,
     catalog: Optional[MetricCatalog] = None,
 ) -> FieldEvaluation:
-    """Evaluate every product and rank them under a requirement profile."""
-    opts = options or EvaluationOptions()
-    if opts.workers != 1 or opts.cache_dir is not None:
-        from .parallel import evaluate_field_parallel
+    """Evaluate every product and rank them under a requirement profile.
 
-        return evaluate_field_parallel(factories, requirements, opts, catalog)
-    evaluations: Dict[str, ProductEvaluation] = {}
-    for factory in factories:
-        evaluation = evaluate_product(factory, opts)
-        evaluations[evaluation.name] = evaluation
+    Every unit of every product shares one run (and, with ``workers > 1``,
+    one pool, so a slow product's throughput sweep overlaps the next
+    product's scenario run).  Scoring and weighting happen in this process,
+    in factory input order.
+    """
+    evaluations = _evaluate_all(factories, options or EvaluationOptions())
     return finish_field(evaluations, requirements, catalog)

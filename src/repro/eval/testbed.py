@@ -54,8 +54,10 @@ def cluster_scenario(
                              for start, attack in suite])
         return builder.build()
 
-    token = (tuple(a.value for a in node_addresses), duration_s, seed,
-             rate_scale, include_dos, flood_rate_pps)
+    token = (("nodes", tuple(a.value for a in node_addresses)),
+             ("duration_s", duration_s), ("seed", seed),
+             ("rate_scale", rate_scale), ("include_dos", include_dos),
+             ("flood_rate_pps", flood_rate_pps))
     return corpus_scenario("scenario-cluster", token, build)
 
 
@@ -81,8 +83,10 @@ def ecommerce_scenario(
                              for start, attack in suite])
         return builder.build()
 
-    token = (server.value, tuple(a.value for a in lan_hosts), duration_s,
-             seed, rate_scale, include_dos)
+    token = (("server", server.value),
+             ("lan_hosts", tuple(a.value for a in lan_hosts)),
+             ("duration_s", duration_s), ("seed", seed),
+             ("rate_scale", rate_scale), ("include_dos", include_dos))
     return corpus_scenario("scenario-ecommerce", token, build)
 
 
@@ -121,9 +125,9 @@ class EvalTestbed:
         self.node_addresses = [h.address for h in self.lan.hosts]
 
         if train_duration_s > 0:
-            token = (self.profile,
-                     tuple(a.value for a in self.node_addresses),
-                     train_duration_s, self.seed, "warmup")
+            token = (("profile", self.profile),
+                     ("nodes", tuple(a.value for a in self.node_addresses)),
+                     ("duration_s", train_duration_s), ("seed", self.seed))
             warmup = corpus_trace(
                 "warmup", token,
                 lambda: self._background_trace(train_duration_s,

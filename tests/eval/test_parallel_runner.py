@@ -1,10 +1,12 @@
-"""Serial-vs-parallel equivalence and result-cache behaviour.
+"""Serial-vs-parallel equivalence, unit-result store behaviour, and unit
+failures.
 
 The headline risk of parallelizing a deterministic simulator is silently
 breaking reproducibility, so the equivalence tests here are load-bearing:
 ``workers=4`` must produce *bit-identical* results -- dataclass-equal
 evaluations and byte-identical rendered tables -- to ``workers=1``, and a
-cache hit must be indistinguishable from a fresh run.
+cache hit must be indistinguishable from a fresh run.  A failing unit must
+keep every finished unit in the store and name itself in its error.
 """
 
 import os
@@ -13,9 +15,10 @@ import pytest
 
 from repro.core.profiles import realtime_cluster_requirements
 from repro.core.report import format_weighted_results
+from repro.eval.corpus import ArtifactStore
 from repro.eval.parallel import (
-    ResultCache,
     WorkUnit,
+    WorkUnitError,
     clear_cache,
     last_cache_stats,
     plan_units,
@@ -192,27 +195,28 @@ class TestResultCache:
         for junk in (b"not a pickle", b"garbage\n"):
             for name in os.listdir(cache_dir):
                 if not name.endswith(".pkl"):
-                    continue        # skip the trace-corpus subdirectory
+                    continue        # skip the stored traces
                 with open(os.path.join(cache_dir, name), "wb") as fh:
                     fh.write(junk)
             again = evaluate_product(AafidProduct, opts)
             assert again == baseline
             assert last_cache_stats().misses == 2
+            assert last_cache_stats().unreadable == 2
 
     def test_clear_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         opts = options(cache_dir=cache_dir, throughput_rates_pps=(500,))
         evaluate_product(AafidProduct, opts)
-        cache = ResultCache(cache_dir)
-        assert len(cache) == 2
-        traces_dir = os.path.join(cache_dir, "traces")
-        n_traces = len([n for n in os.listdir(traces_dir)
-                        if n.endswith(".rtrc")])
+
+        def entries(suffix):
+            return [n for n in os.listdir(cache_dir) if n.endswith(suffix)]
+
+        assert len(entries(".pkl")) == 2
+        n_traces = len(entries(".rtrc"))
         assert n_traces > 0
-        # clear-cache drops the work units and the corpus traces together
+        # clear-cache drops the work units and the traces together
         assert clear_cache(cache_dir) == 2 + n_traces
-        assert len(cache) == 0
-        assert not os.listdir(traces_dir)
+        assert not os.listdir(cache_dir)
         assert clear_cache(cache_dir) == 0
 
     def test_unpicklable_factory_degrades_to_inline(self):
@@ -223,6 +227,48 @@ class TestResultCache:
         serial = evaluate_product(factory, options(
             throughput_rates_pps=(500,)))
         assert parallel == serial
+
+
+class TrippingProduct(AafidProduct):
+    """AAFID whose 1200-pps throughput probe raises.
+
+    Load probes are the only units that deploy untrained, and at TINY's
+    0.2 s probe the 500-pps rung offers 100 packets, the 1200-pps rung 240.
+    """
+
+    def deploy(self, engine, testbed):
+        dep = super().deploy(engine, testbed)
+        dep.trained = False
+        train_on, ingest = dep.train_on, dep.ingest
+
+        def trained_on(trace):
+            dep.trained = True
+            train_on(trace)
+
+        def ingest_or_trip(pkt):
+            if not dep.trained and dep.ingested >= 150:
+                raise RuntimeError("tripwire")
+            ingest(pkt)
+
+        dep.train_on, dep.ingest = trained_on, ingest_or_trip
+        return dep
+
+
+class TestUnitFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_unit_keeps_finished_units(self, tmp_path, workers):
+        opts = options(cache_dir=str(tmp_path / "cache"), workers=workers)
+        with pytest.raises(WorkUnitError) as info:
+            evaluate_product(TrippingProduct, opts)
+        failed = WorkUnit(index=0, product="sim-aafid", kind="rate",
+                          rate_pps=1200.0)
+        assert info.value.unit == failed
+        assert "sim-aafid rate unit at 1200 pps" in str(info.value)
+        assert "tripwire" in str(info.value.__cause__)
+        store = ArtifactStore(opts.cache_dir)
+        for unit in plan_units(["sim-aafid"], opts):
+            stored = store.load(unit_key(unit, opts))
+            assert (stored is None) == (unit == failed), unit
 
 
 @pytest.mark.slow
