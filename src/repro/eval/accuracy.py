@@ -19,6 +19,7 @@ import numpy as np
 from ..errors import MeasurementError
 from ..products.base import Product
 from ..sim.faults import FaultPlan
+from .corpus import serving
 from .ground_truth import AccuracyResult
 from .testbed import EvalTestbed
 
@@ -112,15 +113,17 @@ def sensitivity_sweep(
     if not sensitivities:
         raise MeasurementError("need at least one sensitivity point")
     points: List[SweepPoint] = []
-    for s in sensitivities:
-        result = run_accuracy(product_factory, float(s), seed=seed,
-                              duration_s=duration_s, include_dos=include_dos,
-                              n_hosts=n_hosts, fault_plan=fault_plan)
-        points.append(SweepPoint(
-            sensitivity=float(s),
-            false_positive_ratio=result.false_positive_ratio,
-            false_negative_ratio=result.false_negative_ratio,
-            result=result))
+    with serving():  # every point replays one warmup and one scenario
+        for s in sensitivities:
+            result = run_accuracy(product_factory, float(s), seed=seed,
+                                  duration_s=duration_s,
+                                  include_dos=include_dos, n_hosts=n_hosts,
+                                  fault_plan=fault_plan)
+            points.append(SweepPoint(
+                sensitivity=float(s),
+                false_positive_ratio=result.false_positive_ratio,
+                false_negative_ratio=result.false_negative_ratio,
+                result=result))
     return SensitivitySweep(product=product_name, points=points)
 
 

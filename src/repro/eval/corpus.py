@@ -21,20 +21,25 @@ Writes are atomic (temp file + rename); an entry that exists but cannot be
 read is a miss to be regenerated, counted in :attr:`CacheStats.unreadable`,
 never a crash.
 
-Within one process each store also keeps the traces and scenarios it has
-served in memory, so a battery touching the same scenario four times
-decodes it once.  The generation call sites
+Each battery call also opens retention scopes (:func:`serving`): a fresh
+``(kind, token)`` memo in front of the optional disk store, so every
+distinct trace is built -- or read from disk -- once per scope and
+dropped when the scope ends.  :func:`repro.eval.parallel.run_units` opens
+one per group of work units sharing an input (all scenario units; all
+probes at one rate), :func:`repro.eval.accuracy.sensitivity_sweep` one
+around its points.  The memo is never process-global, and the store itself
+is disk only.  The generation call sites
 (:class:`repro.eval.testbed.EvalTestbed`, ``cluster_scenario``/
 ``ecommerce_scenario``, ``probe_rate``) route through :func:`corpus_trace`/
-:func:`corpus_scenario`, which consult the store the running work unit
-serves from and fall through to plain generation when there is none.
-Results are bit-identical either way: the trace format round-trips every
-field exactly (times are f64), packet ``pid``s are diagnostic-only by
-contract, and every RNG stream is derived independently per name, so
-skipping a generation never shifts another stream.
+:func:`corpus_scenario`, which consult the open scope and fall through to
+plain generation outside one.  Results are bit-identical either way: the
+trace format round-trips every field exactly (times are f64), packet
+``pid``s are diagnostic-only by contract, and every RNG stream is derived
+independently per name, so skipping a generation never shifts another
+stream.
 
-Treat store-returned traces as read-only; they may be shared across
-products within a process.
+Treat returned traces as read-only: within a scope, every product
+replays the same objects.
 """
 
 from __future__ import annotations
@@ -96,8 +101,7 @@ def artifact_key(kind: str, fields: Fields) -> str:
 @dataclass
 class CacheStats:
     """Hit/miss/store counters; ``unreadable`` counts the misses on an
-    entry that exists but could not be read (in-memory hits count as
-    hits)."""
+    entry that exists but could not be read (memo hits count as hits)."""
 
     hits: int = 0
     misses: int = 0
@@ -138,7 +142,6 @@ class ArtifactStore:
         self.root = root
         self.units = CacheStats()
         self.traces = CacheStats()
-        self._memory: Dict[str, object] = {}
 
     def _path(self, key: str, suffix: str) -> str:
         return os.path.join(self.root, key + suffix)
@@ -191,31 +194,25 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # traces and scenarios
     # ------------------------------------------------------------------
-    def _memoized(self, kind: str, token: Fields, build: Callable[[], T],
-                  read: Callable[[str, str], T],
-                  write: Callable[[str, T], None],
-                  trace_of: Callable[[T], Trace]) -> T:
+    def _stored(self, kind: str, token: Fields, build: Callable[[], T],
+                read: Callable[[str, str], T],
+                write: Callable[[str, T], None],
+                trace_of: Callable[[T], Trace]) -> T:
         key = artifact_key(kind, token)
-        value = self._memory.get(key)
-        if value is not None:
-            self.traces.hits += 1
-            return value  # type: ignore[return-value]
         value = self._read(self.traces, key, ".rtrc",
                            lambda path: read(key, path))
         if value is None:
             value = build()
-            if not _codec_exact(trace_of(value)):
-                return value
-            write(key, value)
-            self.traces.stores += 1
-        self._memory[key] = value
+            if _codec_exact(trace_of(value)):
+                write(key, value)
+                self.traces.stores += 1
         return value
 
     def trace(self, kind: str, token: Fields,
               build: Callable[[], Trace]) -> Trace:
         """The stored trace for ``(kind, token)``, building and storing it
         on a miss."""
-        return self._memoized(
+        return self._stored(
             kind, token, build,
             read=lambda key, path: Trace.load(path),
             write=lambda key, trace: self._write(key, ".rtrc",
@@ -244,14 +241,13 @@ class ArtifactStore:
                 protocol=pickle.HIGHEST_PROTOCOL))
             self._write(key, ".rtrc", scenario.trace.to_bytes())
 
-        return self._memoized(kind, token, build, read, write,
-                              trace_of=lambda scenario: scenario.trace)
+        return self._stored(kind, token, build, read, write,
+                            trace_of=lambda scenario: scenario.trace)
 
     # ------------------------------------------------------------------
     def clear(self) -> int:
         """Delete every entry; returns how many work-unit results and
         traces were removed (scenario sidecars don't count)."""
-        self._memory.clear()
         if not os.path.isdir(self.root):
             return 0
         removed = 0
@@ -263,49 +259,57 @@ class ArtifactStore:
 
 
 # ----------------------------------------------------------------------
-# one store per directory, served to the running work unit
+# the retention scope
 # ----------------------------------------------------------------------
-#: One store per root, so the in-memory tier survives across successive
-#: work units within a process (pool workers included).
-_STORES: Dict[str, ArtifactStore] = {}
-
-_ACTIVE: Optional[ArtifactStore] = None
+#: The innermost open scope: its disk store (or None) and its memo of
+#: every artifact served in it, keyed by ``(kind, token)``.
+_SCOPE: Optional[Tuple[Optional[ArtifactStore],
+                       Dict[Tuple[str, Fields], object]]] = None
 
 
 def open_store(cache_dir: Optional[str]) -> Optional[ArtifactStore]:
-    """This process's store for ``cache_dir`` (None passes through)."""
-    if cache_dir is None:
-        return None
-    store = _STORES.get(cache_dir)
-    if store is None:
-        store = _STORES[cache_dir] = ArtifactStore(cache_dir)
-    return store
+    """The store over ``cache_dir`` (None passes through)."""
+    return ArtifactStore(cache_dir) if cache_dir is not None else None
 
 
 @contextmanager
-def serving(store: Optional[ArtifactStore]) -> Iterator[None]:
-    """Serve :func:`corpus_trace`/:func:`corpus_scenario` from ``store``
-    for the block (None: plain generation)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = store
+def serving(store: Optional[ArtifactStore] = None) -> Iterator[None]:
+    """One retention scope: for the block, :func:`corpus_trace`/
+    :func:`corpus_scenario` build -- or read from ``store`` -- each
+    distinct ``(kind, token)`` once; the memo is dropped on exit.  Scopes
+    nest, each with its own memo."""
+    global _SCOPE
+    previous = _SCOPE
+    _SCOPE = (store, {})
     try:
         yield
     finally:
-        _ACTIVE = previous
+        _SCOPE = previous
+
+
+def _retained(kind: str, token: Fields, build: Callable[[], T],
+              fetch: Callable[[ArtifactStore], T]) -> T:
+    if _SCOPE is None:
+        return build()
+    store, memo = _SCOPE
+    value = memo.get((kind, token))
+    if value is None:
+        value = build() if store is None else fetch(store)
+        memo[(kind, token)] = value
+    elif store is not None:
+        store.traces.hits += 1
+    return value  # type: ignore[return-value]
 
 
 def corpus_trace(kind: str, token: Fields,
                  build: Callable[[], Trace]) -> Trace:
-    """Memoized trace generation; plain ``build()`` outside a store."""
-    if _ACTIVE is None:
-        return build()
-    return _ACTIVE.trace(kind, token, build)
+    """Retained trace generation; plain ``build()`` outside a scope."""
+    return _retained(kind, token, build,
+                     lambda store: store.trace(kind, token, build))
 
 
 def corpus_scenario(kind: str, token: Fields,
                     build: Callable[[], Scenario]) -> Scenario:
-    """Memoized scenario generation; plain ``build()`` outside a store."""
-    if _ACTIVE is None:
-        return build()
-    return _ACTIVE.scenario(kind, token, build)
+    """Retained scenario generation; plain ``build()`` outside a scope."""
+    return _retained(kind, token, build,
+                     lambda store: store.scenario(kind, token, build))

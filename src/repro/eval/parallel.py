@@ -11,13 +11,18 @@ units in-line (``workers=1``) or on a ``ProcessPoolExecutor``, and merges
 the results *deterministically* -- always ordered by work-unit key, never
 by completion time -- so any worker count produces bit-identical output.
 
+Units run in *input groups* (the scenario units; then all units at one
+probe rate), each under its own retention scope
+(:func:`repro.eval.corpus.serving`): every trace is built once per run,
+shared read-only by the products and dropped before the next group's is
+built.  The pool receives whole groups, largest estimated work first.
+
 With a ``cache_dir``, completed units are memoized in the artifact store
 (:mod:`repro.eval.corpus`) under a key of (product name, kind, rate, the
 measurement-relevant ``EvaluationOptions`` fields by name including the
-seed, and the source digest), and the same store serves every generated
-trace to the running units.  ``workers`` and ``cache_dir`` themselves are
-excluded from the key: they change how the battery executes, never what
-it measures.
+seed, and the source digest), and the same store backs every group's
+traces.  ``workers`` and ``cache_dir`` themselves are excluded from the
+key: they change how the battery executes, never what it measures.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..products.base import Product
-from .corpus import (ArtifactStore, CacheStats, artifact_key, open_store,
-                     serving)
+from .corpus import CacheStats, artifact_key, open_store, serving
 from .runner import EvaluationOptions, measure_rate, measure_scenario
 
 __all__ = ["DEFAULT_CACHE_DIR", "WorkUnit", "WorkUnitError", "CacheStats",
@@ -67,11 +72,14 @@ class WorkUnit:
 
 
 class WorkUnitError(RuntimeError):
-    """A work unit raised; the original exception is the ``__cause__``."""
+    """A work unit raised; the original exception is the ``__cause__``.
+    ``unit`` is the first failed unit in canonical order, ``failed`` all."""
 
-    def __init__(self, unit: WorkUnit, cause: Exception) -> None:
+    def __init__(self, unit: WorkUnit, cause: Exception,
+                 failed: Sequence[WorkUnit]) -> None:
         super().__init__(f"{unit} failed: {cause!r}")
         self.unit = unit
+        self.failed = tuple(failed)
 
 
 def plan_units(names: Sequence[str],
@@ -86,28 +94,52 @@ def plan_units(names: Sequence[str],
     return units
 
 
-def _execute_unit(factory: ProductFactory, unit: WorkUnit,
-                  options: EvaluationOptions):
-    """Run one work unit (in a pool worker or in-line), its traces served
-    from the store under ``options.cache_dir``.
+def _input_groups(units: Sequence[WorkUnit]) -> List[List[WorkUnit]]:
+    """``units`` grouped by shared input, each group in canonical order:
+    the scenario units (rate 0: one warmup, one scenario), then one group
+    per rate, ascending (one load trace)."""
+    groups: Dict[float, List[WorkUnit]] = {}
+    for unit in sorted(units, key=lambda u: (u.rate_pps, u)):
+        groups.setdefault(unit.rate_pps, []).append(unit)
+    return list(groups.values())
 
-    Returns ``(result, corpus_delta)``: the delta is the
-    :class:`CacheStats` the unit's trace lookups added -- measured per unit
-    so the parent can aggregate counters from pool workers without sharing
-    state.
-    """
+
+def _group_cost(group: Sequence[WorkUnit],
+                options: EvaluationOptions) -> float:
+    """Estimated work of one group, in offered load-probe packets.  A
+    scenario unit counts 50 per host per scenario and warmup second: an E1
+    scenario unit runs about as long as a 30,000-packet probe."""
+    scenario = 50.0 * options.n_hosts * (options.scenario_duration_s
+                                         + options.train_duration_s)
+    return sum(u.rate_pps * options.throughput_probe_s
+               if u.kind == "rate" else scenario for u in group)
+
+
+Factories = Union[Sequence[ProductFactory], Mapping[int, ProductFactory]]
+
+
+def _run_group(group: Sequence[WorkUnit], factories: Factories,
+               options: EvaluationOptions) -> Tuple[Dict, CacheStats]:
+    """Run one input group (in a pool worker or in-line) under one
+    retention scope, backed by the store under ``options.cache_dir``;
+    ``factories[unit.index]`` is each unit's factory.
+
+    Every unit runs even when another raises.  Returns ``{unit: result or
+    the exception it raised}`` and the group's trace counters, which the
+    parent aggregates across pool workers."""
     store = open_store(options.cache_dir)
-    before = _trace_counts(store)
+    outcomes: Dict[WorkUnit, object] = {}
     with serving(store):
-        if unit.kind == "scenario":
-            result = measure_scenario(factory, options)
-        else:
-            result = measure_rate(factory, unit.rate_pps, options)
-    return result, _trace_counts(store) - before
-
-
-def _trace_counts(store: Optional[ArtifactStore]) -> CacheStats:
-    return replace(store.traces) if store is not None else CacheStats()
+        for unit in group:
+            factory = factories[unit.index]
+            try:
+                outcomes[unit] = (
+                    measure_scenario(factory, options)
+                    if unit.kind == "scenario"
+                    else measure_rate(factory, unit.rate_pps, options))
+            except Exception as exc:
+                outcomes[unit] = exc
+    return outcomes, store.traces if store is not None else CacheStats()
 
 
 # ----------------------------------------------------------------------
@@ -198,20 +230,20 @@ def run_units(
 ) -> Dict[WorkUnit, object]:
     """Execute the full shard plan and return ``{unit: result}``.
 
-    Stored units are loaded first; the rest run in-line (``workers=1``) or
-    are fanned out across ``options.workers`` processes (unpicklable
-    factories -- e.g. lambdas from an interactive sweep -- degrade
-    gracefully to in-line execution).  Each unit is stored as soon as it
-    finishes.  If units raise, every other unit still runs and is stored,
-    then the first failing unit in canonical order is re-raised as a
-    :class:`WorkUnitError`.  The returned mapping is keyed by
-    :class:`WorkUnit` in canonical order, independent of completion order.
+    Stored units are loaded first; the rest run by input group, in-line
+    (``workers=1``) or fanned out across ``options.workers`` processes
+    (unpicklable factories -- e.g. lambdas from an interactive sweep --
+    degrade gracefully to in-line execution).  Each unit is stored as soon
+    as its group finishes.  If units raise, every other unit still runs
+    and is stored, then the first failing unit in canonical order is
+    re-raised as a :class:`WorkUnitError`; a group whose worker died fails
+    all its units.  The returned mapping is keyed by :class:`WorkUnit` in
+    canonical order, independent of completion order.
     """
     global _LAST_STATS, _LAST_CORPUS
     names = [factory().name for factory in factories]
     units = plan_units(names, options)
     store = open_store(options.cache_dir)
-    before = replace(store.units) if store is not None else None
 
     results: Dict[WorkUnit, object] = {}
     pending: List[WorkUnit] = []
@@ -224,42 +256,49 @@ def run_units(
             pending.append(unit)
 
     workers = options.workers if options.workers > 0 else (os.cpu_count() or 1)
-    pool_units = [u for u in pending
-                  if workers > 1 and _is_picklable(factories[u.index])]
-    inline_units = [u for u in pending if u not in pool_units]
+    pooled = [workers > 1 and _is_picklable(factory)
+              for factory in factories]
+    pool_groups = _input_groups([u for u in pending if pooled[u.index]])
+    inline_groups = _input_groups([u for u in pending
+                                   if not pooled[u.index]])
 
     corpus = CacheStats()
     failures: Dict[WorkUnit, Exception] = {}
 
-    def finish(unit: WorkUnit, run: Callable[[], tuple]) -> None:
+    def finish(group: Sequence[WorkUnit], run: Callable[[], tuple]) -> None:
         nonlocal corpus
         try:
-            result, delta = run()
-        except Exception as exc:
-            failures[unit] = exc
-            return
-        results[unit] = result
+            outcomes, delta = run()
+        except Exception as exc:  # the group's worker died
+            outcomes, delta = dict.fromkeys(group, exc), CacheStats()
         corpus = corpus + delta
-        if store is not None:
-            store.save(unit_key(unit, options), result)
+        for unit, outcome in outcomes.items():
+            if isinstance(outcome, Exception):
+                failures[unit] = outcome
+            else:
+                results[unit] = outcome
+                if store is not None:
+                    store.save(unit_key(unit, options), outcome)
 
-    if pool_units:
+    if pool_groups:
+        # largest estimated work first (LPT): the long groups start early
+        pool_groups.sort(key=lambda g: -_group_cost(g, options))
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(pool_units))) as pool:
-            futures = {
-                pool.submit(_execute_unit, factories[unit.index], unit,
-                            options): unit
-                for unit in pool_units}
+                max_workers=min(workers, len(pool_groups))) as pool:
+            futures = {pool.submit(_run_group, group,
+                                   {u.index: factories[u.index]
+                                    for u in group}, options): group
+                       for group in pool_groups}
             for future in as_completed(futures):
                 finish(futures[future], future.result)
-    for unit in inline_units:
-        finish(unit, partial(_execute_unit, factories[unit.index], unit,
-                             options))
+    for group in inline_groups:
+        finish(group, partial(_run_group, group, factories, options))
 
-    _LAST_STATS = store.units - before if store is not None else None
+    _LAST_STATS = store.units if store is not None else None
     _LAST_CORPUS = corpus if store is not None else None
     if failures:
         first = min(failures)
-        raise WorkUnitError(first, failures[first]) from failures[first]
+        raise WorkUnitError(first, failures[first],
+                            sorted(failures)) from failures[first]
     # canonical order: by work-unit key, never by completion time
     return {unit: results[unit] for unit in sorted(results)}

@@ -28,13 +28,14 @@ Design rules:
   rather than failing the run.
 
 Availability bookkeeping is analytic: every resolved fault contributes a
-weighted downtime window per component (full weight for crash/stall/
-partition, the lost service fraction ``1 - 1/slowdown`` for overload,
-the loss fraction for link loss, zero for pure added latency), each
-component's total is clamped to the scenario duration, and availability
-is ``1 - sum(downtime) / (components * duration)``.  This makes
-availability exactly reproducible, always in ``[0, 1]``, and monotone in
-fault severity.
+weighted downtime window per component, cut at the end of the run
+(full weight for crash/stall/partition, the lost service fraction
+``1 - 1/slowdown`` for overload, the loss fraction for link loss, zero
+for pure added latency), each component's total is clamped to the
+scenario duration, and availability is
+``1 - sum(downtime) / (components * duration)``.  This makes availability
+exactly reproducible, always in ``[0, 1]``, and monotone in fault
+severity.
 """
 
 from __future__ import annotations
@@ -327,9 +328,11 @@ class FaultInjector:
                 start = t0 + fault.start_frac * self.duration_s
                 window = fault.duration_frac * self.duration_s
                 self.applied.append((fault, label))
+                # only the part of the window inside the run is downtime
+                inside = min(fault.duration_frac, 1.0 - fault.start_frac)
                 self._downtime[label] = (
                     self._downtime.get(label, 0.0)
-                    + fault.downtime_weight() * window)
+                    + fault.downtime_weight() * (inside * self.duration_s))
                 if window > 0.0:
                     self.engine.schedule_at(start, on)
                     self.engine.schedule_at(start + window, off)

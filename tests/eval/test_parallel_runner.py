@@ -10,6 +10,7 @@ keep every finished unit in the store and name itself in its error.
 """
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.eval.parallel import (
     clear_cache,
     last_cache_stats,
     plan_units,
+    run_units,
     unit_key,
 )
 from repro.eval.runner import (
@@ -254,21 +256,60 @@ class TrippingProduct(AafidProduct):
         return dep
 
 
+#: The test process; a pool worker is any other.
+PARENT_PID = os.getpid()
+
+
+class DyingProduct(AafidProduct):
+    """AAFID whose 1200-pps probe kills the pool worker running it (and
+    only raises when run in this process)."""
+
+    def deploy(self, engine, testbed):
+        dep = super().deploy(engine, testbed)
+        ingest = dep.ingest
+
+        def ingest_or_die(pkt):
+            if len(testbed.hosts) == 4 and dep.ingested >= 150:
+                if os.getpid() == PARENT_PID:
+                    raise RuntimeError("would kill the worker")
+                os._exit(3)
+            ingest(pkt)
+
+        dep.ingest = ingest_or_die
+        return dep
+
+
 class TestUnitFailure:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_unit_keeps_finished_units(self, tmp_path, workers):
+        # the tripping unit shares its 1200-pps input group with NID
         opts = options(cache_dir=str(tmp_path / "cache"), workers=workers)
         with pytest.raises(WorkUnitError) as info:
-            evaluate_product(TrippingProduct, opts)
+            run_units([TrippingProduct, NidProduct], opts)
         failed = WorkUnit(index=0, product="sim-aafid", kind="rate",
                           rate_pps=1200.0)
         assert info.value.unit == failed
+        assert info.value.failed == (failed,)
         assert "sim-aafid rate unit at 1200 pps" in str(info.value)
         assert "tripwire" in str(info.value.__cause__)
         store = ArtifactStore(opts.cache_dir)
-        for unit in plan_units(["sim-aafid"], opts):
+        units = plan_units(["sim-aafid", "sim-nid"], opts)
+        assert WorkUnit(1, "sim-nid", "rate", 1200.0) in units
+        for unit in units:
             stored = store.load(unit_key(unit, opts))
             assert (stored is None) == (unit == failed), unit
+
+    def test_dead_worker_fails_its_whole_group(self, tmp_path):
+        opts = options(cache_dir=str(tmp_path / "cache"), workers=2)
+        with pytest.raises(WorkUnitError) as info:
+            run_units([DyingProduct, NidProduct], opts)
+        group = [WorkUnit(0, "sim-aafid", "rate", 1200.0),
+                 WorkUnit(1, "sim-nid", "rate", 1200.0)]
+        assert set(group) <= set(info.value.failed)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        store = ArtifactStore(opts.cache_dir)
+        for unit in group:
+            assert store.load(unit_key(unit, opts)) is None
 
 
 @pytest.mark.slow

@@ -380,3 +380,14 @@ def test_degradation_monotone_in_severity(plan, s1, s2):
     # more severe faults can never *increase* availability
     assert _availability(plan.scaled(hi)) <= _availability(
         plan.scaled(lo)) + 1e-12
+
+
+def test_window_past_the_run_end_is_not_downtime():
+    # a crash declared at the very end of the run loses no service, at
+    # the declared severity (unscaled) as at any other
+    late = FaultPlan("late", (Fault(FaultKind.CRASH, "sensor:0", 1.0, 1.0),))
+    assert _availability(late) == 1.0
+    assert _availability(late.scaled(2.0)) == 1.0
+    overlap = FaultPlan("overlap",
+                        (Fault(FaultKind.CRASH, "sensor:0", 0.5, 1.0),))
+    assert _availability(overlap) == _availability(overlap.scaled(3.0))
