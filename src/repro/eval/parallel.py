@@ -15,7 +15,9 @@ Units run in *input groups* (the scenario units; then all units at one
 probe rate), each under its own retention scope
 (:func:`repro.eval.corpus.serving`): every trace is built once per run,
 shared read-only by the products and dropped before the next group's is
-built.  The pool receives whole groups, largest estimated work first.
+built.  The pool receives the groups largest estimated work first; a
+group worth more than one worker's share of the battery is split, so no
+single task caps the pool's speedup.
 
 With a ``cache_dir``, completed units are memoized in the artifact store
 (:mod:`repro.eval.corpus`) under a key of (product name, kind, rate, the
@@ -32,8 +34,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..products.base import Product
 from .corpus import CacheStats, artifact_key, open_store, serving
@@ -72,14 +73,11 @@ class WorkUnit:
 
 
 class WorkUnitError(RuntimeError):
-    """A work unit raised; the original exception is the ``__cause__``.
-    ``unit`` is the first failed unit in canonical order, ``failed`` all."""
+    """A work unit raised; the original exception is the ``__cause__``."""
 
-    def __init__(self, unit: WorkUnit, cause: Exception,
-                 failed: Sequence[WorkUnit]) -> None:
+    def __init__(self, unit: WorkUnit, cause: Exception) -> None:
         super().__init__(f"{unit} failed: {cause!r}")
         self.unit = unit
-        self.failed = tuple(failed)
 
 
 def plan_units(names: Sequence[str],
@@ -115,14 +113,27 @@ def _group_cost(group: Sequence[WorkUnit],
                if u.kind == "rate" else scenario for u in group)
 
 
-Factories = Union[Sequence[ProductFactory], Mapping[int, ProductFactory]]
+def _pool_tasks(groups: Sequence[List[WorkUnit]], options: EvaluationOptions,
+                workers: int) -> List[List[WorkUnit]]:
+    """The pool's tasks, largest estimated work first (LPT).  A group
+    worth more than one worker's share of the battery is cut into parts of
+    as many units as fit that share (at least one), so no task caps the
+    pool's speedup; every other group stays whole and shares one trace."""
+    share = sum(_group_cost(g, options) for g in groups) / workers
+    tasks: List[List[WorkUnit]] = []
+    for group in groups:
+        unit = _group_cost(group[:1], options)  # a group's units cost alike
+        fit = max(1, int(share // unit)) if unit else len(group)
+        tasks.extend(group[i:i + fit] for i in range(0, len(group), fit))
+    return sorted(tasks, key=lambda t: -_group_cost(t, options))
 
 
-def _run_group(group: Sequence[WorkUnit], factories: Factories,
+def _run_group(group: Sequence[WorkUnit],
+               factories: Mapping[int, ProductFactory],
                options: EvaluationOptions) -> Tuple[Dict, CacheStats]:
-    """Run one input group (in a pool worker or in-line) under one
-    retention scope, backed by the store under ``options.cache_dir``;
-    ``factories[unit.index]`` is each unit's factory.
+    """Run one input group, or part of one (in a pool worker or in-line),
+    under one retention scope, backed by the store under
+    ``options.cache_dir``; ``factories[unit.index]`` is each unit's factory.
 
     Every unit runs even when another raises.  Returns ``{unit: result or
     the exception it raised}`` and the group's trace counters, which the
@@ -236,7 +247,7 @@ def run_units(
     degrade gracefully to in-line execution).  Each unit is stored as soon
     as its group finishes.  If units raise, every other unit still runs
     and is stored, then the first failing unit in canonical order is
-    re-raised as a :class:`WorkUnitError`; a group whose worker died fails
+    re-raised as a :class:`WorkUnitError`; a task whose worker died fails
     all its units.  The returned mapping is keyed by :class:`WorkUnit` in
     canonical order, independent of completion order.
     """
@@ -265,11 +276,15 @@ def run_units(
     corpus = CacheStats()
     failures: Dict[WorkUnit, Exception] = {}
 
+    def call(group: Sequence[WorkUnit]) -> Callable[[], tuple]:
+        return partial(_run_group, group,
+                       {u.index: factories[u.index] for u in group}, options)
+
     def finish(group: Sequence[WorkUnit], run: Callable[[], tuple]) -> None:
         nonlocal corpus
         try:
             outcomes, delta = run()
-        except Exception as exc:  # the group's worker died
+        except Exception as exc:  # the task's worker died
             outcomes, delta = dict.fromkeys(group, exc), CacheStats()
         corpus = corpus + delta
         for unit, outcome in outcomes.items():
@@ -281,24 +296,19 @@ def run_units(
                     store.save(unit_key(unit, options), outcome)
 
     if pool_groups:
-        # largest estimated work first (LPT): the long groups start early
-        pool_groups.sort(key=lambda g: -_group_cost(g, options))
+        tasks = _pool_tasks(pool_groups, options, workers)
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(pool_groups))) as pool:
-            futures = {pool.submit(_run_group, group,
-                                   {u.index: factories[u.index]
-                                    for u in group}, options): group
-                       for group in pool_groups}
+                max_workers=min(workers, len(tasks))) as pool:
+            futures = {pool.submit(call(group)): group for group in tasks}
             for future in as_completed(futures):
                 finish(futures[future], future.result)
     for group in inline_groups:
-        finish(group, partial(_run_group, group, factories, options))
+        finish(group, call(group))
 
     _LAST_STATS = store.units if store is not None else None
     _LAST_CORPUS = corpus if store is not None else None
     if failures:
         first = min(failures)
-        raise WorkUnitError(first, failures[first],
-                            sorted(failures)) from failures[first]
+        raise WorkUnitError(first, failures[first]) from failures[first]
     # canonical order: by work-unit key, never by completion time
     return {unit: results[unit] for unit in sorted(results)}

@@ -20,6 +20,9 @@ from repro.eval.corpus import ArtifactStore
 from repro.eval.parallel import (
     WorkUnit,
     WorkUnitError,
+    _group_cost,
+    _input_groups,
+    _pool_tasks,
     clear_cache,
     last_cache_stats,
     plan_units,
@@ -141,6 +144,47 @@ class TestWorkPlan:
         unit = WorkUnit(0, "a", "scenario")
         assert (unit_key(unit, options(throughput_rates_pps=(500, 1200))) !=
                 unit_key(unit, options(throughput_rates_pps=(500, 9000))))
+
+
+class TestPoolTasks:
+    """How the pool's tasks are cut from the input groups (planning only:
+    no unit runs)."""
+
+    E1_SHAPE = dict(n_hosts=6, scenario_duration_s=70.0,
+                    train_duration_s=30.0,
+                    throughput_rates_pps=(500, 1000, 2000, 4000, 8000,
+                                          16000, 32000, 64000))
+
+    def plan(self, workers):
+        opts = EvaluationOptions(**self.E1_SHAPE)
+        groups = _input_groups(plan_units(["a", "b", "c", "d"], opts))
+        return opts, groups, _pool_tasks(groups, opts, workers)
+
+    def test_groups_stay_whole_when_they_fit(self):
+        # at two workers no E1 group exceeds half of the battery
+        _, groups, tasks = self.plan(2)
+        assert sorted(tasks) == sorted(groups)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8, 16, 64])
+    def test_tasks_partition_the_groups_largest_first(self, workers):
+        opts, groups, tasks = self.plan(workers)
+        assert (sorted(u for t in tasks for u in t) ==
+                sorted(u for g in groups for u in g))
+        assert all(len({u.rate_pps for u in t}) == 1 for t in tasks)
+        costs = [_group_cost(t, opts) for t in tasks]
+        assert costs == sorted(costs, reverse=True)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8, 16, 64])
+    def test_only_groups_over_one_workers_share_are_split(self, workers):
+        # no task may cap the pool's speedup: each fits one worker's
+        # share of the battery unless it is a single unit
+        opts, groups, tasks = self.plan(workers)
+        share = sum(_group_cost(g, opts) for g in groups) / workers
+        for task in tasks:
+            assert len(task) == 1 or _group_cost(task, opts) <= share
+        for group in groups:
+            parts = [t for t in tasks if t[0] in group]
+            assert (len(parts) > 1) == (_group_cost(group, opts) > share)
 
 
 class TestResultCache:
@@ -289,7 +333,6 @@ class TestUnitFailure:
         failed = WorkUnit(index=0, product="sim-aafid", kind="rate",
                           rate_pps=1200.0)
         assert info.value.unit == failed
-        assert info.value.failed == (failed,)
         assert "sim-aafid rate unit at 1200 pps" in str(info.value)
         assert "tripwire" in str(info.value.__cause__)
         store = ArtifactStore(opts.cache_dir)
@@ -305,7 +348,10 @@ class TestUnitFailure:
             run_units([DyingProduct, NidProduct], opts)
         group = [WorkUnit(0, "sim-aafid", "rate", 1200.0),
                  WorkUnit(1, "sim-nid", "rate", 1200.0)]
-        assert set(group) <= set(info.value.failed)
+        # TINY's 1200-pps group fits one worker's share, so it is one task
+        assert group in _pool_tasks(_input_groups(plan_units(
+            ["sim-aafid", "sim-nid"], opts)), opts, 2)
+        assert info.value.unit.product == "sim-aafid"
         assert isinstance(info.value.__cause__, BrokenProcessPool)
         store = ArtifactStore(opts.cache_dir)
         for unit in group:
