@@ -13,7 +13,6 @@ __all__ = [
     "ScheduleError",
     "NetworkError",
     "AddressError",
-    "TcpStateError",
     "TraceFormatError",
     "ConfigurationError",
     "CardinalityError",
@@ -43,10 +42,6 @@ class NetworkError(ReproError):
 
 class AddressError(NetworkError):
     """Raised for malformed IPv4 addresses or exhausted subnets."""
-
-
-class TcpStateError(NetworkError):
-    """Raised on an illegal TCP state-machine transition."""
 
 
 class TraceFormatError(NetworkError):

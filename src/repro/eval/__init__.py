@@ -49,7 +49,6 @@ from .throughput import (
     LoadProbe,
     ThroughputReport,
     make_load_trace,
-    measure_throughput,
     probe_rate,
     report_from_probes,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "LoadProbe",
     "ThroughputReport",
     "make_load_trace",
-    "measure_throughput",
     "probe_rate",
     "report_from_probes",
 ]

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import os
 import pickle
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..products.base import Product
 from .corpus import CacheStats, artifact_key, open_store, serving
@@ -73,11 +75,33 @@ class WorkUnit:
 
 
 class WorkUnitError(RuntimeError):
-    """A work unit raised; the original exception is the ``__cause__``."""
+    """A work unit raised; the original exception is the ``__cause__``.
+    An exception raised in a pool worker carries the worker's formatted
+    traceback as its own ``__cause__``."""
 
     def __init__(self, unit: WorkUnit, cause: Exception) -> None:
         super().__init__(f"{unit} failed: {cause!r}")
         self.unit = unit
+
+
+class _Failure(NamedTuple):
+    """A unit's exception with its formatted traceback, which survives the
+    pickling that carries the exception back from a pool worker."""
+
+    exc: Exception
+    traceback: str
+
+
+def _failure(exc: Exception) -> _Failure:
+    return _Failure(exc, "".join(traceback.format_exception(exc)))
+
+
+class _RemoteTraceback(Exception):
+    """A pool worker's traceback, chained as the cause of the exception
+    it raised (as :mod:`concurrent.futures` does for a raising task)."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def plan_units(names: Sequence[str],
@@ -136,7 +160,7 @@ def _run_group(group: Sequence[WorkUnit],
     ``options.cache_dir``; ``factories[unit.index]`` is each unit's factory.
 
     Every unit runs even when another raises.  Returns ``{unit: result or
-    the exception it raised}`` and the group's trace counters, which the
+    the _Failure it raised}`` and the group's trace counters, which the
     parent aggregates across pool workers."""
     store = open_store(options.cache_dir)
     outcomes: Dict[WorkUnit, object] = {}
@@ -149,7 +173,7 @@ def _run_group(group: Sequence[WorkUnit],
                     if unit.kind == "scenario"
                     else measure_rate(factory, unit.rate_pps, options))
             except Exception as exc:
-                outcomes[unit] = exc
+                outcomes[unit] = _failure(exc)
     return outcomes, store.traces if store is not None else CacheStats()
 
 
@@ -285,11 +309,14 @@ def run_units(
         try:
             outcomes, delta = run()
         except Exception as exc:  # the task's worker died
-            outcomes, delta = dict.fromkeys(group, exc), CacheStats()
+            outcomes = dict.fromkeys(group, _failure(exc))
+            delta = CacheStats()
         corpus = corpus + delta
         for unit, outcome in outcomes.items():
-            if isinstance(outcome, Exception):
-                failures[unit] = outcome
+            if isinstance(outcome, _Failure):
+                if outcome.exc.__traceback__ is None:  # raised in a worker
+                    outcome.exc.__cause__ = _RemoteTraceback(outcome.traceback)
+                failures[unit] = outcome.exc
             else:
                 results[unit] = outcome
                 if store is not None:

@@ -22,7 +22,6 @@ from .audit import (
     packet_to_events,
 )
 from .monitor import Monitor
-from .operator import OperatorModel
 from .pipeline import IdsPipeline
 from .policy import PolicyRule, ResponseAction, SecurityPolicy
 from .response import Firewall, Honeypot, RouterInterface, SnmpTrapReceiver
@@ -64,7 +63,6 @@ __all__ = [
     "HashBalancer",
     "DynamicBalancer",
     "Monitor",
-    "OperatorModel",
     "IdsPipeline",
     "AuditEvent",
     "AuditEventType",

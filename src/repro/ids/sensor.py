@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Protocol as TypingProtocol, Sequenc
 from ..errors import ConfigurationError
 from ..net.packet import Packet
 from ..sim.engine import Engine
-from ..sim.stats import RateMeter, Welford
+from ..sim.stats import RateMeter
 from .alert import Detection, Severity
 from .anomaly import AnomalyEngine
 from .component import Component, Subprocess
@@ -213,7 +213,6 @@ class Sensor(Component):
         self.dropped_down = 0
         self.detections_emitted = 0
         self.busy_ops = 0.0
-        self.inspect_delay = Welford()
         self._drop_meter = RateMeter(bin_width=0.5, history=8)
 
     # ------------------------------------------------------------------
@@ -267,15 +266,14 @@ class Sensor(Component):
         finish = start + cost_ops * self._slowdown / self.ops_rate
         self._busy_until = finish
         self.busy_ops += cost_ops
-        self.engine.schedule_at(finish, self._complete, pkt, now)
+        self.engine.schedule_at(finish, self._complete, pkt)
 
-    def _complete(self, pkt: Packet, arrived: float) -> None:
+    def _complete(self, pkt: Packet) -> None:
         if not self.up:
             self.dropped_down += 1
             return
         now = self.engine.now
         self.processed += 1
-        self.inspect_delay.add(now - arrived)
         hits = self.detector.process(pkt, now)
         for category, severity, score, detail in hits:
             det = Detection(

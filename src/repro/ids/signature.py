@@ -149,8 +149,7 @@ class StreamPatternRule(SignatureRule):
     segmentation seam.  Out-of-order delivery within a flow is handled by
     sequencing on TCP sequence numbers when they are contiguous and
     falling back to arrival order otherwise (the common fast path of
-    commercial engines; full reassembly lives in
-    :class:`repro.net.tcp.StreamReassembler` for analyzers that need it).
+    commercial engines, which skip full stream reassembly).
 
     Flow-state economy: a carried tail can only ever matter if some byte
     of it could *start* a pattern, so flow state is stored only for tails

@@ -1,18 +1,12 @@
-"""Network substrate: addresses, packets, flows, TCP, links, nodes, traces."""
+"""Network substrate: addresses, packets, flow keys, TCP sessions, links,
+nodes, traces."""
 
 from .address import IPv4Address, Subnet
-from .flow import FlowKey, FlowStats, FlowTracker
+from .flow import FlowKey
 from .link import Link
 from .node import BorderRouter, Host, Node, Switch
 from .packet import ETHERNET_HEADER, IP_HEADER, Packet, Protocol, TcpFlags
-from .tcp import (
-    MSS,
-    SessionTable,
-    StreamReassembler,
-    TcpConnection,
-    TcpState,
-    build_session,
-)
+from .tcp import MSS, build_session
 from .topology import LanTestbed
 from .trace import TimedPacket, Trace
 
@@ -20,8 +14,6 @@ __all__ = [
     "IPv4Address",
     "Subnet",
     "FlowKey",
-    "FlowStats",
-    "FlowTracker",
     "Link",
     "Node",
     "Host",
@@ -33,10 +25,6 @@ __all__ = [
     "ETHERNET_HEADER",
     "IP_HEADER",
     "MSS",
-    "TcpState",
-    "TcpConnection",
-    "SessionTable",
-    "StreamReassembler",
     "build_session",
     "LanTestbed",
     "TimedPacket",

@@ -1,19 +1,19 @@
-"""Flow identification and tracking.
+"""Flow identification.
 
 A *flow* is the bidirectional conversation identified by the canonicalized
-five-tuple.  :class:`FlowTracker` maintains per-flow counters with idle
-eviction; it backs the session-aware load balancer (which must keep a TCP
-session on one sensor, section 2.2) and the anomaly engine's rate baselines.
+five-tuple.  :class:`FlowKey` keys the session-aware load balancer (which
+must keep a TCP session on one sensor, section 2.2) and the ground-truth
+attribution of packets to attacks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 from .address import IPv4Address
 from .packet import Packet, Protocol
 
-__all__ = ["FlowKey", "FlowStats", "FlowTracker"]
+__all__ = ["FlowKey"]
 
 
 class FlowKey(NamedTuple):
@@ -33,94 +33,3 @@ class FlowKey(NamedTuple):
         if a <= b:
             return cls(pkt.src, pkt.sport, pkt.dst, pkt.dport, pkt.proto)
         return cls(pkt.dst, pkt.dport, pkt.src, pkt.sport, pkt.proto)
-
-
-class FlowStats:
-    """Mutable per-flow counters."""
-
-    __slots__ = ("key", "first_seen", "last_seen", "packets", "bytes", "forward_packets")
-
-    def __init__(self, key: FlowKey, now: float) -> None:
-        self.key = key
-        self.first_seen = now
-        self.last_seen = now
-        self.packets = 0
-        self.bytes = 0
-        # packets travelling lo -> hi, to expose direction asymmetry
-        self.forward_packets = 0
-
-    def update(self, pkt: Packet, now: float) -> None:
-        self.last_seen = now
-        self.packets += 1
-        self.bytes += pkt.wire_size
-        if (pkt.src.value, pkt.sport) == (self.key.addr_lo.value, self.key.port_lo):
-            self.forward_packets += 1
-
-    @property
-    def duration(self) -> float:
-        return self.last_seen - self.first_seen
-
-
-class FlowTracker:
-    """Track active flows with idle-timeout eviction.
-
-    Parameters
-    ----------
-    idle_timeout:
-        Flows unseen for this many simulated seconds are evicted on the next
-        :meth:`expire` sweep.
-    max_flows:
-        Hard cap; when exceeded the oldest (least recently seen) flow is
-        evicted immediately.  This models the bounded session tables of real
-        sensors -- an IDS under SYN-flood pressure loses old state.
-    """
-
-    def __init__(self, idle_timeout: float = 60.0, max_flows: int = 100_000) -> None:
-        if idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        if max_flows <= 0:
-            raise ValueError("max_flows must be positive")
-        self.idle_timeout = float(idle_timeout)
-        self.max_flows = int(max_flows)
-        self._flows: Dict[FlowKey, FlowStats] = {}
-        self.evicted = 0
-
-    def observe(self, pkt: Packet, now: float) -> FlowStats:
-        """Record a packet; returns the (possibly new) flow record."""
-        key = FlowKey.of(pkt)
-        stats = self._flows.get(key)
-        if stats is None:
-            if len(self._flows) >= self.max_flows:
-                self._evict_oldest()
-            stats = FlowStats(key, now)
-            self._flows[key] = stats
-        stats.update(pkt, now)
-        return stats
-
-    def _evict_oldest(self) -> None:
-        oldest_key = min(self._flows, key=lambda k: self._flows[k].last_seen)
-        del self._flows[oldest_key]
-        self.evicted += 1
-
-    def get(self, pkt_or_key: "Packet | FlowKey") -> Optional[FlowStats]:
-        key = pkt_or_key if isinstance(pkt_or_key, FlowKey) else FlowKey.of(pkt_or_key)
-        return self._flows.get(key)
-
-    def expire(self, now: float) -> int:
-        """Evict idle flows; returns how many were removed."""
-        cutoff = now - self.idle_timeout
-        dead = [k for k, s in self._flows.items() if s.last_seen < cutoff]
-        for k in dead:
-            del self._flows[k]
-        self.evicted += len(dead)
-        return len(dead)
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def __iter__(self) -> Iterator[FlowStats]:
-        return iter(self._flows.values())
-
-    def top_talkers(self, n: int = 10) -> Tuple[FlowStats, ...]:
-        """The ``n`` flows with the most bytes."""
-        return tuple(sorted(self._flows.values(), key=lambda s: -s.bytes)[:n])

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from ..errors import ConfigurationError
 from ..sim.engine import Engine
-from ..sim.stats import TimeWeighted, Welford
+from ..sim.stats import TimeWeighted
 from .packet import Packet
 
 __all__ = ["Link"]
@@ -80,7 +80,6 @@ class Link:
         self.dropped_bytes = 0
 
         # instrumentation
-        self.delay_stats = Welford()  # send->deliver latency of delivered pkts
         self._occupancy = TimeWeighted(t0=engine.now, value=0.0)
 
     # ------------------------------------------------------------------
@@ -110,15 +109,14 @@ class Link:
         self._queued_bytes += size
         self._occupancy.update(now, self._queued_bytes)
         deliver_at = finish + self.propagation_delay
-        self.engine.schedule_at(deliver_at, self._deliver, pkt, now, size)
+        self.engine.schedule_at(deliver_at, self._deliver, pkt, size)
         return True
 
-    def _deliver(self, pkt: Packet, sent_at: float, size: int) -> None:
+    def _deliver(self, pkt: Packet, size: int) -> None:
         self._queued_bytes -= size
         self._occupancy.update(self.engine.now, self._queued_bytes)
         self.delivered_packets += 1
         self.delivered_bytes += size
-        self.delay_stats.add(self.engine.now - sent_at)
         if self.sink is not None:
             self.sink(pkt)
 

@@ -1,298 +1,20 @@
-"""TCP session modelling.
+"""TCP session generation.
 
-Three cooperating pieces:
-
-* :class:`TcpState` / :class:`TcpConnection` -- a passive connection tracker
-  that watches both directions of a flow and walks the RFC-793 state machine.
-  Load balancers and stateful sensors use it to know when a session exists,
-  is half-open (SYN-flood symptom), or has closed.
-* :class:`StreamReassembler` -- orders TCP segments by sequence number and
-  exposes the contiguous application byte stream, which payload-signature
-  engines scan across packet boundaries.
-* :func:`build_session` -- generates a *valid* packet sequence (handshake,
-  data segments, teardown) for the traffic generators, so that canned traces
-  contain protocol-correct sessions rather than random datagrams.
+:func:`build_session` generates a *valid* packet sequence (handshake, data
+segments, teardown) for the traffic generators, so that canned traces
+contain protocol-correct sessions rather than random datagrams.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..errors import TcpStateError
 from .address import IPv4Address
 from .packet import Packet, Protocol, TcpFlags
 
-__all__ = [
-    "TcpState",
-    "TcpConnection",
-    "SessionTable",
-    "StreamReassembler",
-    "build_session",
-    "MSS",
-]
+__all__ = ["build_session", "MSS"]
 
 MSS = 1460  # maximum segment size used by the generators
-
-
-class TcpState(enum.Enum):
-    CLOSED = "CLOSED"
-    SYN_SENT = "SYN_SENT"
-    SYN_RECEIVED = "SYN_RECEIVED"
-    ESTABLISHED = "ESTABLISHED"
-    FIN_WAIT = "FIN_WAIT"
-    CLOSE_WAIT = "CLOSE_WAIT"
-    CLOSING = "CLOSING"
-    TIME_WAIT = "TIME_WAIT"
-    RESET = "RESET"
-
-
-# Terminal states from a tracker's point of view.
-_TERMINAL = frozenset({TcpState.TIME_WAIT, TcpState.RESET, TcpState.CLOSED})
-
-
-class TcpConnection:
-    """Passive bidirectional TCP connection tracker.
-
-    The tracker identifies the *initiator* as the sender of the first SYN.
-    It is tolerant of retransmissions (repeated SYN/FIN do not error) but
-    raises :class:`TcpStateError` in ``strict`` mode when it sees flags that
-    are impossible in the current state (e.g. data before any SYN).
-    """
-
-    __slots__ = (
-        "initiator",
-        "responder",
-        "state",
-        "opened_at",
-        "established_at",
-        "closed_at",
-        "bytes_to_responder",
-        "bytes_to_initiator",
-        "strict",
-        "_fin_seen",
-    )
-
-    def __init__(self, strict: bool = False) -> None:
-        self.initiator: Optional[Tuple[IPv4Address, int]] = None
-        self.responder: Optional[Tuple[IPv4Address, int]] = None
-        self.state = TcpState.CLOSED
-        self.opened_at: Optional[float] = None
-        self.established_at: Optional[float] = None
-        self.closed_at: Optional[float] = None
-        self.bytes_to_responder = 0
-        self.bytes_to_initiator = 0
-        self.strict = strict
-        self._fin_seen: set = set()  # which endpoints sent FIN
-
-    # ------------------------------------------------------------------
-    @property
-    def established(self) -> bool:
-        return self.state is TcpState.ESTABLISHED
-
-    @property
-    def half_open(self) -> bool:
-        """SYN seen but the three-way handshake never completed."""
-        return self.state in (TcpState.SYN_SENT, TcpState.SYN_RECEIVED)
-
-    @property
-    def finished(self) -> bool:
-        return self.state in _TERMINAL and self.opened_at is not None
-
-    def feed(self, pkt: Packet, now: float) -> TcpState:
-        """Observe one packet of this connection; returns the new state."""
-        if pkt.proto is not Protocol.TCP:
-            raise TcpStateError("TcpConnection fed a non-TCP packet")
-        sender = (pkt.src, pkt.sport)
-
-        if pkt.has_flag(TcpFlags.RST):
-            if self.state is not TcpState.CLOSED or self.opened_at is not None:
-                self.state = TcpState.RESET
-                self.closed_at = now
-            return self.state
-
-        if pkt.has_flag(TcpFlags.SYN) and not pkt.has_flag(TcpFlags.ACK):
-            # Initial SYN (or a retransmission of it).
-            if self.state is TcpState.CLOSED:
-                self.initiator = sender
-                self.responder = (pkt.dst, pkt.dport)
-                self.state = TcpState.SYN_SENT
-                self.opened_at = now
-            elif self.strict and self.state not in (TcpState.SYN_SENT,):
-                raise TcpStateError(f"unexpected SYN in state {self.state}")
-            return self.state
-
-        if pkt.has_flag(TcpFlags.SYN) and pkt.has_flag(TcpFlags.ACK):
-            if self.state is TcpState.SYN_SENT and sender == self.responder:
-                self.state = TcpState.SYN_RECEIVED
-            elif self.strict and self.state not in (
-                TcpState.SYN_RECEIVED,
-                TcpState.ESTABLISHED,
-            ):
-                raise TcpStateError(f"unexpected SYN/ACK in state {self.state}")
-            return self.state
-
-        if self.state is TcpState.CLOSED:
-            if self.strict:
-                raise TcpStateError("data/ACK on a connection with no SYN")
-            return self.state
-
-        if pkt.has_flag(TcpFlags.FIN):
-            self._fin_seen.add(sender)
-            self._count_payload(pkt, sender)
-            if len(self._fin_seen) == 2:
-                self.state = TcpState.TIME_WAIT
-                self.closed_at = now
-            elif self.state is TcpState.ESTABLISHED:
-                self.state = TcpState.FIN_WAIT if sender == self.initiator else TcpState.CLOSE_WAIT
-            return self.state
-
-        if pkt.has_flag(TcpFlags.ACK):
-            if self.state is TcpState.SYN_RECEIVED and sender == self.initiator:
-                self.state = TcpState.ESTABLISHED
-                self.established_at = now
-            self._count_payload(pkt, sender)
-            return self.state
-
-        # Bare data segment (no ACK flag): tolerated unless strict.
-        if self.strict:
-            raise TcpStateError(f"segment without ACK in state {self.state}")
-        self._count_payload(pkt, sender)
-        return self.state
-
-    def _count_payload(self, pkt: Packet, sender: Tuple[IPv4Address, int]) -> None:
-        if pkt.payload_len:
-            if sender == self.initiator:
-                self.bytes_to_responder += pkt.payload_len
-            else:
-                self.bytes_to_initiator += pkt.payload_len
-
-
-class SessionTable:
-    """Bounded table of tracked TCP connections, keyed by canonical flow.
-
-    Mirrors what a stateful sensor or TCP-aware load balancer keeps: when
-    full, the oldest non-established session is dropped first (half-open
-    SYN-flood entries), then the oldest established one.
-    """
-
-    def __init__(self, max_sessions: int = 65536, strict: bool = False) -> None:
-        if max_sessions <= 0:
-            raise ValueError("max_sessions must be positive")
-        self.max_sessions = int(max_sessions)
-        self.strict = strict
-        self._sessions: Dict[tuple, TcpConnection] = {}
-        self._last_seen: Dict[tuple, float] = {}
-        self.evicted = 0
-
-    @staticmethod
-    def _key(pkt: Packet) -> tuple:
-        a = (pkt.src.value, pkt.sport)
-        b = (pkt.dst.value, pkt.dport)
-        return (a, b) if a <= b else (b, a)
-
-    def feed(self, pkt: Packet, now: float) -> TcpConnection:
-        key = self._key(pkt)
-        conn = self._sessions.get(key)
-        is_new_syn = pkt.has_flag(TcpFlags.SYN) and not pkt.has_flag(TcpFlags.ACK)
-        if conn is None or (conn.finished and is_new_syn):
-            if conn is None and len(self._sessions) >= self.max_sessions:
-                self._evict()
-            conn = TcpConnection(strict=self.strict)
-            self._sessions[key] = conn
-        conn.feed(pkt, now)
-        self._last_seen[key] = now
-        return conn
-
-    def _evict(self) -> None:
-        half_open = [k for k, c in self._sessions.items() if c.half_open]
-        pool = half_open if half_open else list(self._sessions)
-        victim = min(pool, key=lambda k: self._last_seen.get(k, 0.0))
-        del self._sessions[victim]
-        self._last_seen.pop(victim, None)
-        self.evicted += 1
-
-    def get(self, pkt: Packet) -> Optional[TcpConnection]:
-        return self._sessions.get(self._key(pkt))
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    @property
-    def half_open_count(self) -> int:
-        return sum(1 for c in self._sessions.values() if c.half_open)
-
-    @property
-    def established_count(self) -> int:
-        return sum(1 for c in self._sessions.values() if c.established)
-
-
-class StreamReassembler:
-    """Reassemble one direction of a TCP byte stream.
-
-    Segments may arrive out of order or duplicated; :meth:`contiguous`
-    returns the longest in-order prefix from the initial sequence number.
-    Overlapping retransmissions keep the first-seen bytes (the common
-    "first wins" policy).
-    """
-
-    def __init__(self, isn: int, max_buffer: int = 1 << 20) -> None:
-        self._next_seq = int(isn)
-        self._base = int(isn)
-        self._data = bytearray()
-        self._pending: Dict[int, bytes] = {}
-        self.max_buffer = int(max_buffer)
-        self.dropped_bytes = 0
-
-    def add(self, seq: int, payload: bytes) -> None:
-        """Insert a segment starting at absolute sequence ``seq``."""
-        if not payload:
-            return
-        end = seq + len(payload)
-        if end <= self._next_seq:
-            return  # pure retransmission
-        if seq < self._next_seq:  # partial overlap: trim the head
-            payload = payload[self._next_seq - seq:]
-            seq = self._next_seq
-        if seq == self._next_seq:
-            self._data.extend(payload)
-            self._next_seq += len(payload)
-            self._drain_pending()
-        else:
-            if sum(map(len, self._pending.values())) + len(payload) > self.max_buffer:
-                self.dropped_bytes += len(payload)
-                return
-            existing = self._pending.get(seq)
-            if existing is None or len(existing) < len(payload):
-                self._pending[seq] = bytes(payload)
-
-    def _drain_pending(self) -> None:
-        while True:
-            seg = self._pending.pop(self._next_seq, None)
-            if seg is None:
-                # A buffered segment may start before next_seq due to overlap.
-                candidates = [s for s in self._pending if s < self._next_seq]
-                if not candidates:
-                    return
-                s = min(candidates)
-                seg = self._pending.pop(s)
-                if s + len(seg) <= self._next_seq:
-                    continue
-                seg = seg[self._next_seq - s:]
-            self._data.extend(seg)
-            self._next_seq += len(seg)
-
-    def contiguous(self) -> bytes:
-        """The in-order byte stream received so far."""
-        return bytes(self._data)
-
-    @property
-    def contiguous_len(self) -> int:
-        return len(self._data)
-
-    @property
-    def has_gap(self) -> bool:
-        return bool(self._pending)
 
 
 def build_session(

@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel: engine, processes, RNG, resources, stats."""
+"""Discrete-event simulation kernel: engine, faults, RNG, resources, stats."""
 
 from .engine import Engine, EventHandle
 from .faults import (
@@ -9,10 +9,9 @@ from .faults import (
     named_plan,
     plan_names,
 )
-from .process import Process, Signal, start
 from .resources import HostCpu, LoadHandle
 from .rng import RngRegistry
-from .stats import Counter, RateMeter, Reservoir, Series, TimeWeighted, Welford
+from .stats import RateMeter, TimeWeighted
 
 __all__ = [
     "Engine",
@@ -23,16 +22,9 @@ __all__ = [
     "FaultPlan",
     "named_plan",
     "plan_names",
-    "Process",
-    "Signal",
-    "start",
     "HostCpu",
     "LoadHandle",
     "RngRegistry",
-    "Counter",
     "RateMeter",
-    "Reservoir",
-    "Series",
     "TimeWeighted",
-    "Welford",
 ]

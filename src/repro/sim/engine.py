@@ -6,9 +6,8 @@ broken first by an explicit integer *priority* (lower runs first) and then by
 insertion order, so runs are fully deterministic.
 
 The engine is deliberately callback-based for speed -- the IDS testbed pushes
-hundreds of thousands of packet events through it.  A coroutine-style process
-layer is provided on top in :mod:`repro.sim.process` for components that read
-more naturally as sequential code.
+hundreds of thousands of packet events through it, most of them replayed
+from a trace through :meth:`Engine.schedule_stream`.
 """
 
 from __future__ import annotations
@@ -265,54 +264,3 @@ class Engine:
     def stop(self) -> None:
         """Stop a run in progress after the current callback returns."""
         self._stopped = True
-
-    def every(
-        self,
-        interval: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``fn(*args)`` periodically every ``interval`` seconds.
-
-        Returns the handle of the *next* occurrence; cancelling it stops the
-        series.  The returned handle object is reused for every tick so the
-        caller can keep a single reference.
-        """
-        if interval <= 0:
-            raise ScheduleError(f"non-positive interval {interval!r}")
-        first = interval if start_delay is None else start_delay
-
-        def tick(handle_box: list) -> None:
-            fn(*args)
-            prev = handle_box[0]
-            if prev.cancelled:
-                return
-            nxt = self.schedule(interval, tick, handle_box, priority=priority)
-            # Re-point the box and mirror cancellation state onto the caller's
-            # original handle so `.cancel()` on it keeps working.
-            handle_box[0] = nxt
-
-        box: list = []
-        outer = _PeriodicHandle(self, box)
-        inner = self.schedule(first, tick, box, priority=priority)
-        box.append(inner)
-        outer._box = box
-        return outer  # type: ignore[return-value]
-
-
-class _PeriodicHandle(EventHandle):
-    """Handle wrapping a periodic series; cancelling stops future ticks."""
-
-    __slots__ = ("_engine", "_box")
-
-    def __init__(self, engine: Engine, box: list) -> None:
-        super().__init__(0.0, 0, -1, lambda: None, ())
-        self._engine = engine
-        self._box = box
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._box:
-            self._box[0].cancel()

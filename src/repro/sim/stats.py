@@ -1,117 +1,15 @@
-"""Online statistics accumulators used throughout the testbed.
+"""Online statistics accumulators used by the testbed.
 
-All accumulators are single-pass and O(1) memory except
-:class:`Reservoir`, which keeps a bounded sample for quantiles.
+:class:`TimeWeighted` averages piecewise-constant signals (link queue
+occupancy, host CPU load); :class:`RateMeter` estimates event rates over a
+sliding window (a sensor's overload drop rate).  Both are single-pass.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-__all__ = [
-    "Welford",
-    "Counter",
-    "TimeWeighted",
-    "Reservoir",
-    "RateMeter",
-    "Series",
-]
-
-
-class Welford:
-    """Streaming mean/variance via Welford's algorithm."""
-
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else float("nan")
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1)."""
-        if self.n < 2:
-            return float("nan")
-        return self._m2 / (self.n - 1)
-
-    @property
-    def stdev(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else float("nan")
-
-    def merge(self, other: "Welford") -> "Welford":
-        """Return a new accumulator equivalent to seeing both inputs."""
-        out = Welford()
-        if self.n == 0:
-            out.n, out._mean, out._m2 = other.n, other._mean, other._m2
-            out.min, out.max = other.min, other.max
-            return out
-        if other.n == 0:
-            out.n, out._mean, out._m2 = self.n, self._mean, self._m2
-            out.min, out.max = self.min, self.max
-            return out
-        n = self.n + other.n
-        delta = other._mean - self._mean
-        out.n = n
-        out._mean = self._mean + delta * other.n / n
-        out._m2 = self._m2 + other._m2 + delta * delta * self.n * other.n / n
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Welford(n={self.n}, mean={self.mean:.6g}, stdev={self.stdev:.6g})"
-
-
-class Counter:
-    """A named bag of integer counters with dict-like access."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def inc(self, name: str, by: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + by
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self._counts!r})"
+__all__ = ["TimeWeighted", "RateMeter"]
 
 
 class TimeWeighted:
@@ -157,38 +55,6 @@ class TimeWeighted:
         return area / span if span > 0 else self._value
 
 
-class Reservoir:
-    """Fixed-size uniform reservoir sample for quantile estimation."""
-
-    def __init__(self, capacity: int = 4096, rng: Optional[np.random.Generator] = None) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
-        self._rng = rng or np.random.default_rng(0)
-        self._sample: List[float] = []
-        self.n = 0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        if len(self._sample) < self.capacity:
-            self._sample.append(float(x))
-        else:
-            j = int(self._rng.integers(0, self.n))
-            if j < self.capacity:
-                self._sample[j] = float(x)
-
-    def quantile(self, q: float) -> float:
-        if not self._sample:
-            return float("nan")
-        return float(np.quantile(np.asarray(self._sample), q))
-
-    def quantiles(self, qs: Sequence[float]) -> List[float]:
-        if not self._sample:
-            return [float("nan")] * len(qs)
-        arr = np.asarray(self._sample)
-        return [float(v) for v in np.quantile(arr, qs)]
-
-
 class RateMeter:
     """Event rate estimation over a sliding history of fixed-width bins."""
 
@@ -223,34 +89,3 @@ class RateMeter:
         if not self._bins:
             return 0.0
         return max(c for _, c in self._bins) / self.bin_width
-
-
-class Series:
-    """Append-only (t, value) series with numpy export; used for figures."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._t: List[float] = []
-        self._v: List[float] = []
-
-    def add(self, t: float, value: float) -> None:
-        if self._t and t < self._t[-1]:
-            raise ValueError("series times must be non-decreasing")
-        self._t.append(float(t))
-        self._v.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._t)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._v)
-
-    def last(self) -> Tuple[float, float]:
-        if not self._t:
-            raise IndexError("empty series")
-        return self._t[-1], self._v[-1]

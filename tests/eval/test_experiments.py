@@ -11,12 +11,19 @@ from repro.eval.accuracy import equal_error_rate, run_accuracy, sensitivity_swee
 from repro.eval.latency import measure_induced_latency, timeliness_from_accuracy
 from repro.eval.overhead import logging_level_overhead, measure_host_overhead
 from repro.eval.testbed import EvalTestbed
-from repro.eval.throughput import make_load_trace, measure_throughput, probe_rate
+from repro.eval.throughput import make_load_trace, probe_rate, report_from_probes
 from repro.ids.host import LoggingLevel
 from repro.net.address import IPv4Address
 from repro.products import AafidProduct, ManhuntProduct, NidProduct
 
 DST = IPv4Address("10.0.0.1")
+
+
+def throughput_report(factory, name, rates_pps, duration_s):
+    """Derive the load metrics the way the battery does: one probe per rate."""
+    return report_from_probes(name, "http", [
+        probe_rate(factory(), float(r), duration_s=duration_s)
+        for r in rates_pps])
 
 
 class TestLoadTrace:
@@ -63,9 +70,9 @@ class TestThroughput:
         assert 0 < probe.loss_ratio <= 1.0
 
     def test_report_shape(self):
-        report = measure_throughput(
-            lambda: NidProduct(), "sim-nid",
-            rates_pps=(500, 4000, 32000), duration_s=0.4)
+        report = throughput_report(
+            NidProduct, "sim-nid", rates_pps=(500, 4000, 32000),
+            duration_s=0.4)
         assert report.zero_loss_pps >= 500
         assert report.system_throughput_pps > 0
         assert len(report.probes) == 3
@@ -74,20 +81,19 @@ class TestThroughput:
         assert rates == sorted(rates)
 
     def test_lethal_dose_observed_for_fragile_product(self):
-        report = measure_throughput(
-            lambda: NidProduct(), "sim-nid",
-            rates_pps=(1000, 64000), duration_s=1.0)
+        report = throughput_report(
+            NidProduct, "sim-nid", rates_pps=(1000, 64000), duration_s=1.0)
         assert report.lethal_dose_pps == 64000
 
     def test_resilient_product_no_lethal_dose(self):
-        report = measure_throughput(
-            lambda: ManhuntProduct(), "sim-manhunt",
-            rates_pps=(1000, 16000), duration_s=0.4)
+        report = throughput_report(
+            ManhuntProduct, "sim-manhunt", rates_pps=(1000, 16000),
+            duration_s=0.4)
         assert report.lethal_dose_pps is None
 
     def test_validation(self):
         with pytest.raises(MeasurementError):
-            measure_throughput(lambda: NidProduct(), "x", rates_pps=())
+            report_from_probes("x", "http", [])
 
 
 class TestPayloadRealismEffect:
@@ -205,36 +211,3 @@ class TestAccuracyRuns:
         with pytest.raises(MeasurementError):
             sensitivity_sweep(lambda s: NidProduct(sensitivity=s), "x",
                               sensitivities=())
-
-
-class TestBisectZeroLoss:
-    def test_refines_between_brackets(self):
-        from repro.eval.throughput import bisect_zero_loss, probe_rate
-
-        rate = bisect_zero_loss(lambda: NidProduct(), lo_pps=500.0,
-                                hi_pps=32_000.0, rel_tol=0.25,
-                                duration_s=0.3)
-        assert 500.0 <= rate < 32_000.0
-        # the found rate is genuinely loss-free...
-        probe = probe_rate(NidProduct(), rate, duration_s=0.3, seed=0)
-        assert probe.dropped_packets == 0
-        # ...and 1.5x beyond it is not
-        beyond = probe_rate(NidProduct(), rate * 1.5, duration_s=0.3, seed=0)
-        assert beyond.dropped_packets > 0
-
-    def test_lossfree_upper_short_circuits(self):
-        from repro.eval.throughput import bisect_zero_loss
-
-        rate = bisect_zero_loss(lambda: ManhuntProduct(), lo_pps=500.0,
-                                hi_pps=2_000.0, duration_s=0.3)
-        assert rate == 2_000.0
-
-    def test_bad_brackets(self):
-        from repro.errors import MeasurementError
-        from repro.eval.throughput import bisect_zero_loss
-
-        with pytest.raises(MeasurementError):
-            bisect_zero_loss(lambda: NidProduct(), lo_pps=0, hi_pps=100)
-        with pytest.raises(MeasurementError):
-            bisect_zero_loss(lambda: NidProduct(), lo_pps=64_000.0,
-                             hi_pps=128_000.0, duration_s=0.3)

@@ -10,6 +10,7 @@ keep every finished unit in the store and name itself in its error.
 """
 
 import os
+import traceback
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -335,6 +336,9 @@ class TestUnitFailure:
         assert info.value.unit == failed
         assert "sim-aafid rate unit at 1200 pps" in str(info.value)
         assert "tripwire" in str(info.value.__cause__)
+        # the raising frame survives the trip back from a pool worker
+        chain = "".join(traceback.format_exception(info.value))
+        assert "ingest_or_trip" in chain
         store = ArtifactStore(opts.cache_dir)
         units = plan_units(["sim-aafid", "sim-nid"], opts)
         assert WorkUnit(1, "sim-nid", "rate", 1200.0) in units

@@ -100,15 +100,6 @@ class TestOverload:
         assert s.processed + s.dropped_overload == 100
         assert 0.0 < s.drop_ratio < 1.0
 
-    def test_inspect_delay_recorded(self):
-        eng = Engine()
-        s = Sensor(eng, "s", NullDetector(), ops_rate=1e4, header_ops=100.0,
-                   per_byte_ops=0.0)
-        s.ingest(pkt())
-        eng.run()
-        assert s.inspect_delay.n == 1
-        assert s.inspect_delay.mean == pytest.approx(0.01)
-
     def test_utilization(self):
         eng = Engine()
         s = Sensor(eng, "s", NullDetector(), ops_rate=1e4, header_ops=100.0,

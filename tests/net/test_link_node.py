@@ -89,14 +89,6 @@ class TestLink:
         assert link.in_flight_packets == 0
         assert link.delivered_packets + link.dropped_packets == len(arrivals)
 
-    def test_delay_stats_recorded(self):
-        eng = Engine()
-        link = Link(eng, bandwidth_bps=1e6, propagation_delay=0.001, sink=lambda p: None)
-        link.send(mk(n=946))
-        eng.run()
-        assert link.delay_stats.n == 1
-        assert link.delay_stats.mean == pytest.approx(0.009)
-
     def test_utilization(self):
         eng = Engine()
         link = Link(eng, bandwidth_bps=1e6, propagation_delay=0.0, sink=lambda p: None)

@@ -1,10 +1,10 @@
-"""Tests for the packet model and flow tracking."""
+"""Tests for the packet model and flow keys."""
 
 import pytest
 
 from repro.errors import NetworkError
 from repro.net.address import IPv4Address
-from repro.net.flow import FlowKey, FlowTracker
+from repro.net.flow import FlowKey
 from repro.net.packet import Packet, Protocol, TcpFlags
 
 A = IPv4Address("10.0.0.1")
@@ -86,60 +86,3 @@ class TestFlowKey:
     def test_different_flows_differ(self):
         assert FlowKey.of(mk(dport=80)) != FlowKey.of(mk(dport=443))
         assert FlowKey.of(mk()) != FlowKey.of(mk(proto=Protocol.UDP))
-
-
-class TestFlowTracker:
-    def test_observe_creates_and_updates(self):
-        ft = FlowTracker()
-        s1 = ft.observe(mk(payload=b"ab"), now=1.0)
-        s2 = ft.observe(mk(src=B, dst=A, sport=80, dport=1234), now=2.0)
-        assert s1 is s2
-        assert s1.packets == 2
-        assert s1.first_seen == 1.0 and s1.last_seen == 2.0
-        assert s1.duration == 1.0
-        assert len(ft) == 1
-
-    def test_forward_direction_counted(self):
-        ft = FlowTracker()
-        ft.observe(mk(), 0.0)
-        ft.observe(mk(src=B, dst=A, sport=80, dport=1234), 0.1)
-        ft.observe(mk(), 0.2)
-        stats = ft.get(mk())
-        assert stats is not None
-        # 'forward' means lo->hi endpoint; whichever it is, it saw the
-        # two same-direction packets or the one reverse packet.
-        assert stats.forward_packets in (1, 2)
-        assert stats.packets == 3
-
-    def test_idle_expiry(self):
-        ft = FlowTracker(idle_timeout=10.0)
-        ft.observe(mk(), 0.0)
-        ft.observe(mk(dport=443), 95.0)
-        removed = ft.expire(now=100.0)
-        assert removed == 1
-        assert len(ft) == 1
-        assert ft.evicted == 1
-
-    def test_capacity_eviction_drops_oldest(self):
-        ft = FlowTracker(max_flows=2)
-        ft.observe(mk(dport=1), 0.0)
-        ft.observe(mk(dport=2), 1.0)
-        ft.observe(mk(dport=3), 2.0)
-        assert len(ft) == 2
-        assert ft.get(mk(dport=1)) is None
-        assert ft.get(mk(dport=3)) is not None
-
-    def test_top_talkers(self):
-        ft = FlowTracker()
-        for _ in range(3):
-            ft.observe(mk(dport=80, payload_len=1000), 0.0)
-        ft.observe(mk(dport=443, payload_len=10), 0.0)
-        top = ft.top_talkers(1)
-        assert len(top) == 1
-        assert top[0].key.port_hi == 80 or top[0].key.port_lo == 80
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            FlowTracker(idle_timeout=0)
-        with pytest.raises(ValueError):
-            FlowTracker(max_flows=0)

@@ -1,220 +1,48 @@
-"""Tests for TCP session tracking, reassembly and session generation."""
+"""Tests for TCP session generation."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import TcpStateError
 from repro.net.address import IPv4Address
-from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.tcp import (
-    SessionTable,
-    StreamReassembler,
-    TcpConnection,
-    TcpState,
-    build_session,
-)
+from repro.net.flow import FlowKey
+from repro.net.packet import TcpFlags
+from repro.net.tcp import build_session
 
 C = IPv4Address("10.0.0.1")
 S = IPv4Address("10.0.0.2")
 
 
-def tcp(src, dst, sport, dport, flags, seq=0, ack=0, payload=None):
-    return Packet(src=src, dst=dst, sport=sport, dport=dport,
-                  proto=Protocol.TCP, flags=flags, seq=seq, ack=ack,
-                  payload=payload)
-
-
-def handshake(conn, t0=0.0):
-    conn.feed(tcp(C, S, 1000, 80, TcpFlags.SYN, seq=1), t0)
-    conn.feed(tcp(S, C, 80, 1000, TcpFlags.SYN | TcpFlags.ACK, seq=9, ack=2), t0 + 0.01)
-    conn.feed(tcp(C, S, 1000, 80, TcpFlags.ACK, seq=2, ack=10), t0 + 0.02)
-
-
-class TestTcpConnection:
-    def test_three_way_handshake(self):
-        conn = TcpConnection()
-        conn.feed(tcp(C, S, 1000, 80, TcpFlags.SYN), 0.0)
-        assert conn.state is TcpState.SYN_SENT
-        assert conn.half_open
-        conn.feed(tcp(S, C, 80, 1000, TcpFlags.SYN | TcpFlags.ACK), 0.01)
-        assert conn.state is TcpState.SYN_RECEIVED
-        assert conn.half_open
-        conn.feed(tcp(C, S, 1000, 80, TcpFlags.ACK), 0.02)
-        assert conn.established
-        assert conn.established_at == 0.02
-        assert conn.initiator == (C, 1000)
-        assert conn.responder == (S, 80)
-
-    def test_graceful_close(self):
-        conn = TcpConnection()
-        handshake(conn)
-        conn.feed(tcp(C, S, 1000, 80, TcpFlags.FIN | TcpFlags.ACK), 1.0)
-        assert conn.state is TcpState.FIN_WAIT
-        conn.feed(tcp(S, C, 80, 1000, TcpFlags.FIN | TcpFlags.ACK), 1.1)
-        assert conn.state is TcpState.TIME_WAIT
-        assert conn.finished
-        assert conn.closed_at == 1.1
-
-    def test_server_initiated_close(self):
-        conn = TcpConnection()
-        handshake(conn)
-        conn.feed(tcp(S, C, 80, 1000, TcpFlags.FIN | TcpFlags.ACK), 1.0)
-        assert conn.state is TcpState.CLOSE_WAIT
-
-    def test_reset_terminates(self):
-        conn = TcpConnection()
-        handshake(conn)
-        conn.feed(tcp(S, C, 80, 1000, TcpFlags.RST), 2.0)
-        assert conn.state is TcpState.RESET
-        assert conn.finished
-
-    def test_payload_accounting_by_direction(self):
-        conn = TcpConnection()
-        handshake(conn)
-        conn.feed(tcp(C, S, 1000, 80, TcpFlags.ACK | TcpFlags.PSH, payload=b"x" * 10), 1.0)
-        conn.feed(tcp(S, C, 80, 1000, TcpFlags.ACK | TcpFlags.PSH, payload=b"y" * 30), 1.1)
-        assert conn.bytes_to_responder == 10
-        assert conn.bytes_to_initiator == 30
-
-    def test_syn_retransmission_tolerated(self):
-        conn = TcpConnection()
-        conn.feed(tcp(C, S, 1000, 80, TcpFlags.SYN), 0.0)
-        conn.feed(tcp(C, S, 1000, 80, TcpFlags.SYN), 1.0)
-        assert conn.state is TcpState.SYN_SENT
-
-    def test_strict_rejects_data_before_syn(self):
-        conn = TcpConnection(strict=True)
-        with pytest.raises(TcpStateError):
-            conn.feed(tcp(C, S, 1, 2, TcpFlags.ACK, payload=b"hi"), 0.0)
-
-    def test_non_strict_ignores_data_before_syn(self):
-        conn = TcpConnection()
-        conn.feed(tcp(C, S, 1, 2, TcpFlags.ACK, payload=b"hi"), 0.0)
-        assert conn.state is TcpState.CLOSED
-
-    def test_non_tcp_rejected(self):
-        conn = TcpConnection()
-        with pytest.raises(TcpStateError):
-            conn.feed(Packet(src=C, dst=S, proto=Protocol.UDP), 0.0)
-
-
-class TestSessionTable:
-    def test_tracks_by_flow(self):
-        table = SessionTable()
-        for pkt in build_session(C, S, 1000, 80, request=b"GET /"):
-            table.feed(pkt, 0.0)
-        assert len(table) == 1
-        assert table.half_open_count == 0
-
-    def test_half_open_counting(self):
-        table = SessionTable()
-        for i in range(5):
-            table.feed(tcp(C, S, 1000 + i, 80, TcpFlags.SYN), float(i))
-        assert table.half_open_count == 5
-        assert table.established_count == 0
-
-    def test_eviction_prefers_half_open(self):
-        table = SessionTable(max_sessions=3)
-        # one established session
-        for pkt in build_session(C, S, 999, 80, teardown=False):
-            table.feed(pkt, 0.0)
-        # fill with half-open
-        table.feed(tcp(C, S, 1001, 80, TcpFlags.SYN), 1.0)
-        table.feed(tcp(C, S, 1002, 80, TcpFlags.SYN), 2.0)
-        # next new session evicts the *oldest half-open* (port 1001)
-        table.feed(tcp(C, S, 1003, 80, TcpFlags.SYN), 3.0)
-        assert table.evicted == 1
-        assert table.established_count == 1
-        assert table.get(tcp(C, S, 1001, 80, TcpFlags.SYN)) is None
-
-    def test_finished_session_replaced_on_new_syn(self):
-        table = SessionTable()
-        for pkt in build_session(C, S, 1000, 80):
-            table.feed(pkt, 0.0)
-        conn1 = table.get(tcp(C, S, 1000, 80, TcpFlags.SYN))
-        assert conn1 is not None and conn1.finished
-        table.feed(tcp(C, S, 1000, 80, TcpFlags.SYN), 10.0)
-        conn2 = table.get(tcp(C, S, 1000, 80, TcpFlags.SYN))
-        assert conn2 is not conn1
-        assert conn2.half_open
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            SessionTable(max_sessions=0)
-
-
-class TestStreamReassembler:
-    def test_in_order(self):
-        r = StreamReassembler(isn=100)
-        r.add(100, b"hello ")
-        r.add(106, b"world")
-        assert r.contiguous() == b"hello world"
-        assert not r.has_gap
-
-    def test_out_of_order(self):
-        r = StreamReassembler(isn=0)
-        r.add(5, b"world")
-        assert r.contiguous() == b""
-        assert r.has_gap
-        r.add(0, b"hello")
-        assert r.contiguous() == b"helloworld"
-        assert not r.has_gap
-
-    def test_duplicate_ignored(self):
-        r = StreamReassembler(isn=0)
-        r.add(0, b"abc")
-        r.add(0, b"abc")
-        assert r.contiguous() == b"abc"
-
-    def test_partial_overlap_trimmed(self):
-        r = StreamReassembler(isn=0)
-        r.add(0, b"abcd")
-        r.add(2, b"cdEF")
-        assert r.contiguous() == b"abcdEF"
-
-    def test_buffered_overlap_handled(self):
-        r = StreamReassembler(isn=0)
-        r.add(2, b"cdef")   # buffered with gap
-        r.add(0, b"abcd")   # fills gap, overlaps buffer
-        assert r.contiguous() == b"abcdef"
-
-    def test_buffer_limit_drops(self):
-        r = StreamReassembler(isn=0, max_buffer=4)
-        r.add(100, b"abcdef")  # too big to buffer
-        assert r.dropped_bytes == 6
-
-    def test_empty_payload_noop(self):
-        r = StreamReassembler(isn=0)
-        r.add(0, b"")
-        assert r.contiguous() == b""
-
-    @given(st.binary(min_size=1, max_size=400), st.randoms())
-    @settings(max_examples=50, deadline=None)
-    def test_property_any_arrival_order_reassembles(self, data, rnd):
-        chunks = []
-        pos = 0
-        while pos < len(data):
-            size = rnd.randint(1, 50)
-            chunks.append((pos, data[pos:pos + size]))
-            pos += size
-        rnd.shuffle(chunks)
-        r = StreamReassembler(isn=0)
-        for seq, chunk in chunks:
-            r.add(seq, chunk)
-        assert r.contiguous() == data
-
-
 class TestBuildSession:
     def test_session_establishes_and_closes(self):
-        conn = TcpConnection(strict=True)
         pkts = build_session(C, S, 1000, 80, request=b"GET / HTTP/1.0\r\n\r\n",
                              response=b"HTTP/1.0 200 OK\r\n\r\nhi")
-        for i, pkt in enumerate(pkts):
-            conn.feed(pkt, float(i))
-        assert conn.finished
-        assert conn.bytes_to_responder == 18
-        assert conn.bytes_to_initiator == 21
+        assert len({FlowKey.of(p) for p in pkts}) == 1
+        # three-way handshake, each step acknowledging the previous one
+        syn, syn_ack, ack = pkts[:3]
+        assert (syn.src, syn.flag_bits) == (C, TcpFlags.SYN)
+        assert (syn_ack.src, syn_ack.flag_bits, syn_ack.ack) == (
+            S, TcpFlags.SYN | TcpFlags.ACK, syn.seq + 1)
+        assert (ack.src, ack.flag_bits, ack.ack) == (
+            C, TcpFlags.ACK, syn_ack.seq + 1)
+        assert all(p.has_flag(TcpFlags.ACK) for p in pkts[1:])
+        assert not any(p.has_flag(TcpFlags.RST) for p in pkts)
+        # each direction's sequence numbers advance by the bytes sent,
+        # plus one for SYN and for FIN
+        next_seq = {C: syn.seq, S: syn_ack.seq}
+        fins = []
+        for i, p in enumerate(pkts):
+            assert p.seq == next_seq[p.src]
+            next_seq[p.src] += (p.payload_len + p.has_flag(TcpFlags.SYN)
+                                + p.has_flag(TcpFlags.FIN))
+            if p.has_flag(TcpFlags.FIN):
+                fins.append(i)
+        # both ends close, and each FIN is acknowledged by the peer
+        assert {pkts[i].src for i in fins} == {C, S}
+        for i in fins:
+            fin = pkts[i]
+            assert any(p.src != fin.src and p.ack == fin.seq + 1
+                       for p in pkts[i + 1:])
+        assert sum(p.payload_len for p in pkts if p.src == C) == 18
+        assert sum(p.payload_len for p in pkts if p.src == S) == 21
 
     def test_segmentation_respects_mss(self):
         pkts = build_session(C, S, 1, 2, request=b"x" * 3500, mss=1000)
@@ -224,11 +52,13 @@ class TestBuildSession:
     def test_reassembly_of_generated_session(self):
         req = bytes(range(256)) * 7
         pkts = build_session(C, S, 1, 2, request=req, mss=100)
-        r = StreamReassembler(isn=1001)  # isn_client + 1
-        for p in pkts:
-            if p.src == C and p.payload:
-                r.add(p.seq, p.payload)
-        assert r.contiguous() == req
+        segs = sorted((p for p in pkts if p.src == C and p.payload),
+                      key=lambda p: p.seq)
+        seq = 1001  # isn_client + 1
+        for p in segs:
+            assert p.seq == seq
+            seq += len(p.payload)
+        assert b"".join(p.payload for p in segs) == req
 
     def test_attack_id_propagates(self):
         pkts = build_session(C, S, 1, 2, request=b"evil", attack_id="exp-1")

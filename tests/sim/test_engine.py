@@ -147,34 +147,6 @@ class TestRunControl:
         assert eng.events_executed == 4
 
 
-class TestPeriodic:
-    def test_every_fires_repeatedly(self):
-        eng = Engine()
-        ticks = []
-        eng.every(1.0, lambda: ticks.append(eng.now))
-        eng.run(until=3.5)
-        assert ticks == [1.0, 2.0, 3.0]
-
-    def test_every_with_start_delay(self):
-        eng = Engine()
-        ticks = []
-        eng.every(2.0, lambda: ticks.append(eng.now), start_delay=0.5)
-        eng.run(until=5.0)
-        assert ticks == [0.5, 2.5, 4.5]
-
-    def test_every_cancel_stops_series(self):
-        eng = Engine()
-        ticks = []
-        h = eng.every(1.0, lambda: ticks.append(eng.now))
-        eng.schedule(2.5, h.cancel)
-        eng.run(until=10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_every_rejects_nonpositive_interval(self):
-        with pytest.raises(ScheduleError):
-            Engine().every(0.0, lambda: None)
-
-
 class TestProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
                               allow_nan=False, allow_infinity=False),

@@ -1,81 +1,10 @@
 """Tests for the online statistics accumulators."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, RateMeter, Reservoir, Series, TimeWeighted, Welford
-
-finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
-
-
-class TestWelford:
-    def test_empty_is_nan(self):
-        w = Welford()
-        assert math.isnan(w.mean)
-        assert math.isnan(w.variance)
-
-    def test_single_value(self):
-        w = Welford()
-        w.add(5.0)
-        assert w.mean == 5.0
-        assert math.isnan(w.variance)
-        assert w.min == w.max == 5.0
-
-    def test_matches_numpy(self):
-        xs = [1.0, 2.5, -3.0, 7.25, 0.125]
-        w = Welford()
-        w.extend(xs)
-        assert w.mean == pytest.approx(np.mean(xs))
-        assert w.variance == pytest.approx(np.var(xs, ddof=1))
-        assert w.stdev == pytest.approx(np.std(xs, ddof=1))
-
-    @given(st.lists(finite, min_size=2, max_size=100))
-    @settings(max_examples=100, deadline=None)
-    def test_property_matches_numpy(self, xs):
-        w = Welford()
-        w.extend(xs)
-        assert w.n == len(xs)
-        assert w.mean == pytest.approx(float(np.mean(xs)), rel=1e-9, abs=1e-6)
-        assert w.variance == pytest.approx(float(np.var(xs, ddof=1)), rel=1e-6, abs=1e-4)
-        assert w.min == min(xs)
-        assert w.max == max(xs)
-
-    @given(st.lists(finite, min_size=1, max_size=50),
-           st.lists(finite, min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_concatenation(self, a, b):
-        wa, wb, wc = Welford(), Welford(), Welford()
-        wa.extend(a)
-        wb.extend(b)
-        wc.extend(a + b)
-        merged = wa.merge(wb)
-        assert merged.n == wc.n
-        assert merged.mean == pytest.approx(wc.mean, rel=1e-9, abs=1e-6)
-        if merged.n >= 2:
-            assert merged.variance == pytest.approx(wc.variance, rel=1e-6, abs=1e-4)
-
-    def test_merge_with_empty(self):
-        w = Welford()
-        w.extend([1.0, 2.0])
-        assert w.merge(Welford()).mean == pytest.approx(1.5)
-        assert Welford().merge(w).mean == pytest.approx(1.5)
-
-
-class TestCounter:
-    def test_basic(self):
-        c = Counter()
-        c.inc("a")
-        c.inc("a", 2)
-        c.inc("b")
-        assert c["a"] == 3
-        assert c.get("b") == 1
-        assert c.get("missing") == 0
-        assert c.total == 4
-        assert c.as_dict() == {"a": 3, "b": 1}
+from repro.sim.stats import RateMeter, TimeWeighted
 
 
 class TestTimeWeighted:
@@ -118,40 +47,6 @@ class TestTimeWeighted:
         assert min(values) - 1e-9 <= avg <= max(values) + 1e-9
 
 
-class TestReservoir:
-    def test_small_sample_exact(self):
-        r = Reservoir(capacity=100)
-        for x in range(10):
-            r.add(float(x))
-        assert r.quantile(0.0) == 0.0
-        assert r.quantile(1.0) == 9.0
-        assert r.quantile(0.5) == pytest.approx(4.5)
-
-    def test_capacity_bounds_memory(self):
-        r = Reservoir(capacity=32, rng=np.random.default_rng(1))
-        for x in range(10_000):
-            r.add(float(x))
-        assert r.n == 10_000
-        assert len(r._sample) == 32
-
-    def test_quantile_approximation_uniform(self):
-        rng = np.random.default_rng(7)
-        r = Reservoir(capacity=2048, rng=rng)
-        for x in rng.random(20_000):
-            r.add(float(x))
-        q50, q90 = r.quantiles([0.5, 0.9])
-        assert q50 == pytest.approx(0.5, abs=0.05)
-        assert q90 == pytest.approx(0.9, abs=0.05)
-
-    def test_empty_quantile_nan(self):
-        assert math.isnan(Reservoir().quantile(0.5))
-        assert all(math.isnan(v) for v in Reservoir().quantiles([0.1, 0.9]))
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Reservoir(capacity=0)
-
-
 class TestRateMeter:
     def test_constant_rate(self):
         m = RateMeter(bin_width=1.0)
@@ -177,24 +72,3 @@ class TestRateMeter:
         m = RateMeter()
         with pytest.raises(ValueError):
             m.rate(1.0, window=0)
-
-
-class TestSeries:
-    def test_append_and_export(self):
-        s = Series("lat")
-        s.add(0.0, 1.0)
-        s.add(1.0, 2.0)
-        assert len(s) == 2
-        assert list(s.times) == [0.0, 1.0]
-        assert list(s.values) == [1.0, 2.0]
-        assert s.last() == (1.0, 2.0)
-
-    def test_time_order_enforced(self):
-        s = Series()
-        s.add(5.0, 0.0)
-        with pytest.raises(ValueError):
-            s.add(4.0, 0.0)
-
-    def test_empty_last_raises(self):
-        with pytest.raises(IndexError):
-            Series().last()

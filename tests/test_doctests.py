@@ -6,13 +6,11 @@ import pytest
 
 import repro.net.address
 import repro.sim.engine
-import repro.sim.process
 import repro.sim.rng
 import repro.traffic.mixer
 
 MODULES = [
     repro.sim.engine,
-    repro.sim.process,
     repro.sim.rng,
     repro.net.address,
     repro.traffic.mixer,

@@ -9,8 +9,7 @@ from repro.core.catalog import default_catalog
 from repro.ids.anomaly import AnomalyEngine
 from repro.net.address import IPv4Address
 from repro.net.link import Link
-from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.tcp import SessionTable
+from repro.net.packet import Packet
 from repro.net.trace import Trace
 from repro.sim.engine import Engine
 
@@ -52,22 +51,6 @@ class TestLinkProperties:
             link.send(Packet(src=A, dst=B, payload_len=size))
         eng.run()
         assert times == sorted(times)
-
-
-class TestSessionTableProperties:
-    @given(st.lists(st.tuples(st.integers(min_value=1024, max_value=1100),
-                              st.booleans()),
-                    min_size=1, max_size=200),
-           st.integers(min_value=1, max_value=16))
-    @settings(max_examples=40, deadline=None)
-    def test_size_never_exceeds_cap(self, events, cap):
-        table = SessionTable(max_sessions=cap)
-        for i, (sport, is_syn) in enumerate(events):
-            flags = TcpFlags.SYN if is_syn else TcpFlags.ACK
-            table.feed(Packet(src=A, dst=B, sport=sport, dport=80,
-                              proto=Protocol.TCP, flags=flags,
-                              seq=i), float(i) * 0.01)
-            assert len(table) <= cap
 
 
 class TestTraceProperties:

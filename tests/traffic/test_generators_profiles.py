@@ -1,12 +1,14 @@
 """Tests for arrival generators and site profiles."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.address import IPv4Address, Subnet
-from repro.net.packet import Protocol
-from repro.net.tcp import SessionTable
+from repro.net.flow import FlowKey
+from repro.net.packet import Protocol, TcpFlags
 from repro.traffic.generators import (
     constant_rate_arrivals,
     onoff_arrivals,
@@ -105,12 +107,18 @@ class TestClusterProfile:
         profile = ClusterProfile(nodes, telemetry_hz=0.001, control_rate_per_s=5.0,
                                  heartbeat_hz=0)
         trace = profile.generate(5.0, rng)
-        table = SessionTable(strict=False)
+        flows = defaultdict(list)
         for r in trace:
             if r.packet.proto is Protocol.TCP:
-                table.feed(r.packet, r.time)
-        assert len(table) > 0
-        assert table.half_open_count == 0  # every session completes
+                flows[FlowKey.of(r.packet)].append(r.packet)
+        assert len(flows) > 0
+        for pkts in flows.values():  # every session completes its handshake
+            syn, syn_ack, ack = pkts[:3]
+            assert syn.flag_bits == TcpFlags.SYN
+            assert syn_ack.flag_bits == TcpFlags.SYN | TcpFlags.ACK
+            assert (syn_ack.src, syn_ack.ack) == (syn.dst, syn.seq + 1)
+            assert ack.flag_bits == TcpFlags.ACK
+            assert (ack.src, ack.ack) == (syn.src, syn_ack.seq + 1)
 
     def test_dematerialized_payloads(self, rng):
         profile = ClusterProfile(self._nodes(), materialize=False)
