@@ -9,15 +9,11 @@ run for EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import shutil
-import tempfile
 
 import pytest
 
 from repro.core.profiles import realtime_cluster_requirements
-from repro.eval.parallel import last_corpus_stats
 from repro.eval.runner import EvaluationOptions, evaluate_field
 from repro.products import (
     AafidProduct,
@@ -46,27 +42,9 @@ PRODUCT_FACTORIES = (NidProduct, RealSecureProduct, ManhuntProduct,
 
 @pytest.fixture(scope="session")
 def field_eval():
-    """The full section-3.2 evaluation, shared across benches.
-
-    Runs against a fresh artifact store so the four products share one
-    generation of every scenario/warmup/load trace; the trace hit/miss
-    counters are persisted to ``out/trace_corpus.txt`` alongside the
-    other artifacts.
-    """
-    root = tempfile.mkdtemp(prefix="bench-artifact-store-")
-    try:
-        result = evaluate_field(list(PRODUCT_FACTORIES),
-                                realtime_cluster_requirements(),
-                                dataclasses.replace(E1_OPTIONS,
-                                                    cache_dir=root))
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    corpus = last_corpus_stats()
-    emit("trace_corpus",
-         f"trace corpus (E1 field evaluation, {len(PRODUCT_FACTORIES)} "
-         f"products): {corpus.hits} hit(s), {corpus.misses} miss(es), "
-         f"{corpus.stores} store(s)")
-    return result
+    """The full section-3.2 evaluation, shared across benches."""
+    return evaluate_field(list(PRODUCT_FACTORIES),
+                          realtime_cluster_requirements(), E1_OPTIONS)
 
 
 def emit(name: str, text: str) -> str:

@@ -10,7 +10,7 @@ Run:  python examples/cluster_realtime_eval.py        (~1 minute)
       python examples/cluster_realtime_eval.py --quick (~15 s)
 
 ``--workers N`` shards the battery across a process pool and ``--cache-dir``
-stores completed work units and generated traces, so repeated runs of the
+stores completed work-unit results, so repeated runs of the
 same code are nearly free.  Neither changes the printed output by a
 single byte: results are merged in work-unit order, never completion order.
 """
@@ -39,7 +39,7 @@ def main() -> None:
                         help="process-pool width (1=serial, 0=one per CPU)")
     parser.add_argument("--cache-dir", nargs="?", const=".repro-cache",
                         default=None, metavar="DIR",
-                        help="store work units and traces on disk "
+                        help="store work-unit results on disk "
                              "(.repro-cache/ when no path is given)")
     args = parser.parse_args()
 

@@ -83,11 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "results are bit-identical for any value")
     p_eval.add_argument("--cache-dir", nargs="?", const=".repro-cache",
                         default=None, metavar="DIR",
-                        help="store completed work units and generated "
-                             "traces in DIR, keyed by their inputs and a "
-                             "digest of the source (default dir "
-                             ".repro-cache/ when the flag is given without "
-                             "a path)")
+                        help="store completed work-unit results in DIR, "
+                             "keyed by their inputs and a digest of the "
+                             "source (default dir .repro-cache/ when the "
+                             "flag is given without a path)")
     p_eval.add_argument("--faults", choices=_fault_plan_names(),
                         default="none", metavar="PLAN",
                         help="run the dependability experiment under this "
@@ -96,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{', '.join(_fault_plan_names())})")
 
     p_cc = sub.add_parser("clear-cache",
-                          help="delete the stored work units and traces")
+                          help="delete the stored work-unit results")
     p_cc.add_argument("--cache-dir", default=".repro-cache", metavar="DIR")
 
     p_sweep = sub.add_parser("sweep", help="Figure-4 sensitivity sweep")
@@ -252,14 +251,13 @@ def _cmd_evaluate(args, out) -> int:
         print("", file=out)
         print(dependability_table(reports), file=out)
     if args.cache_dir is not None:
-        from .eval.parallel import last_cache_stats, last_corpus_stats
+        from .eval.parallel import last_cache_stats
 
-        for what, stats in (("result cache", last_cache_stats()),
-                            ("trace corpus", last_corpus_stats())):
-            unreadable = (f", {stats.unreadable} unreadable"
-                          if stats.unreadable else "")
-            print(f"{what}: {stats.hits} hit(s), {stats.misses} miss(es)"
-                  f"{unreadable}", file=out)
+        stats = last_cache_stats()
+        unreadable = (f", {stats.unreadable} unreadable"
+                      if stats.unreadable else "")
+        print(f"result cache: {stats.hits} hit(s), {stats.misses} miss(es)"
+              f"{unreadable}", file=out)
     return 0
 
 
@@ -287,8 +285,8 @@ def _cmd_clear_cache(args, out) -> int:
     from .eval.parallel import clear_cache
 
     removed = clear_cache(args.cache_dir)
-    print(f"removed {removed} stored entr(ies) -- work units and traces -- "
-          f"from {args.cache_dir}", file=out)
+    print(f"removed {removed} stored work-unit result(s) from "
+          f"{args.cache_dir}", file=out)
     return 0
 
 

@@ -31,7 +31,6 @@ from .parallel import (
     WorkUnitError,
     clear_cache,
     last_cache_stats,
-    last_corpus_stats,
 )
 from .runner import (
     EvaluationOptions,
@@ -93,7 +92,6 @@ __all__ = [
     "WorkUnitError",
     "clear_cache",
     "last_cache_stats",
-    "last_corpus_stats",
     "ArtifactStore",
     "open_store",
     "source_digest",

@@ -29,8 +29,7 @@ from ..core.metric import ObservationMethod
 from ..core.scorecard import Scorecard
 from ..ids.policy import ResponseAction
 from ..ids.sensor import FailureMode
-from ..products.base import Deployment, DeploymentSnapshot, ProductFacts
-from .accuracy import SensitivitySweep
+from ..products.base import DeploymentSnapshot, ProductFacts
 from .ground_truth import AccuracyResult
 from .latency import LatencyReport, TimelinessReport
 from .overhead import OverheadReport
@@ -166,9 +165,8 @@ class MeasurementBundle:
     """Everything the laboratory battery measured for one product.
 
     ``deployment`` is the picklable :class:`DeploymentSnapshot` of the
-    system under test (a live :class:`Deployment` is accepted and
-    snapshotted on the fly for backward compatibility), which keeps the
-    whole bundle process-portable for the parallel harness.
+    system under test, which keeps the whole bundle process-portable for
+    the parallel harness.
     """
 
     accuracy: AccuracyResult
@@ -181,16 +179,11 @@ class MeasurementBundle:
     storage_bytes_per_mb: float
     #: sources that actually emitted attack packets in the scenario
     attack_sources: Set[int]
-    sweep: Optional[SensitivitySweep] = None
     #: wall-clock span of the accuracy scenario (drives operator-workload)
     scenario_duration_s: float = 70.0
     #: clean-vs-faulted dependability comparison (None unless the battery
     #: ran with a fault plan)
     dependability: Optional["DependabilityReport"] = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.deployment, Deployment):
-            self.deployment = self.deployment.snapshot()
 
 
 def _step(value: float, cuts: Tuple[float, ...], scores: Tuple[int, ...]) -> int:
@@ -211,8 +204,6 @@ def score_measurements(m: MeasurementBundle) -> Dict[str, Tuple[int, str, float]
 
     acc = m.accuracy
     dep = m.deployment
-    if isinstance(dep, Deployment):
-        dep = dep.snapshot()
 
     # --- accuracy (Figure 3 ratios) ---------------------------------
     miss_frac = (len(acc.missed) / len(acc.actual)) if acc.actual else 0.0
@@ -374,18 +365,17 @@ def score_measurements(m: MeasurementBundle) -> Dict[str, Tuple[int, str, float]
         3 if dep.facts.session_recording else 1,
         f"session recording: {dep.facts.session_recording}",
         3.0 if dep.facts.session_recording else 1.0)
-    put("Host/OS Security",
-        2 if dep.facts.scope != "host" else 1,
+    host_os = 2 if dep.facts.scope != "host" else 1
+    put("Host/OS Security", host_os,
         "dedicated appliance hosts" if dep.facts.scope != "host"
-        else "agents share monitored hosts", 2.0)
-    put("Process Security",
-        {FailureMode.RESTART: 3, FailureMode.REBOOT: 2,
-         FailureMode.HANG: 1}.get(modes[0] if modes else None, 1),
-        "resilience of IDS processes under overload", 2.0)
-    put("Visibility",
-        4 if m.latency.induced_latency_s == 0 else 2,
+        else "agents share monitored hosts", float(host_os))
+    process = {FailureMode.RESTART: 3, FailureMode.REBOOT: 2,
+               FailureMode.HANG: 1}.get(modes[0] if modes else None, 1)
+    put("Process Security", process,
+        "resilience of IDS processes under overload", float(process))
+    put("Visibility", 4 if lat == 0 else 2,
         "passive tap (hard to fingerprint)" if lat == 0
-        else "in-line element is fingerprintable", 2.0)
+        else "in-line element is fingerprintable", lat)
     return out
 
 
@@ -418,8 +408,6 @@ def fill_scorecard(
         from ..core.extensions import score_human_factors
 
         dep = measurements.deployment
-        if isinstance(dep, Deployment):
-            dep = dep.snapshot()
         hours = max(measurements.scenario_duration_s / 3600.0, 1e-9)
         rate = dep.notifications_total / hours
         alerts = max(measurements.accuracy.alerts_total, 1)

@@ -22,9 +22,9 @@ single task caps the pool's speedup.
 With a ``cache_dir``, completed units are memoized in the artifact store
 (:mod:`repro.eval.corpus`) under a key of (product name, kind, rate, the
 measurement-relevant ``EvaluationOptions`` fields by name including the
-seed, and the source digest), and the same store backs every group's
-traces.  ``workers`` and ``cache_dir`` themselves are excluded from the
-key: they change how the battery executes, never what it measures.
+seed, and the source digest).  ``workers`` and ``cache_dir`` themselves
+are excluded from the key: they change how the battery executes, never
+what it measures.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .runner import EvaluationOptions, measure_rate, measure_scenario
 
 __all__ = ["DEFAULT_CACHE_DIR", "WorkUnit", "WorkUnitError", "CacheStats",
            "clear_cache", "plan_units", "run_units", "unit_key",
-           "last_cache_stats", "last_corpus_stats"]
+           "last_cache_stats"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -154,17 +154,15 @@ def _pool_tasks(groups: Sequence[List[WorkUnit]], options: EvaluationOptions,
 
 def _run_group(group: Sequence[WorkUnit],
                factories: Mapping[int, ProductFactory],
-               options: EvaluationOptions) -> Tuple[Dict, CacheStats]:
+               options: EvaluationOptions) -> Dict[WorkUnit, object]:
     """Run one input group, or part of one (in a pool worker or in-line),
-    under one retention scope, backed by the store under
-    ``options.cache_dir``; ``factories[unit.index]`` is each unit's factory.
+    under one retention scope; ``factories[unit.index]`` is each unit's
+    factory.
 
     Every unit runs even when another raises.  Returns ``{unit: result or
-    the _Failure it raised}`` and the group's trace counters, which the
-    parent aggregates across pool workers."""
-    store = open_store(options.cache_dir)
+    the _Failure it raised}``."""
     outcomes: Dict[WorkUnit, object] = {}
-    with serving(store):
+    with serving():
         for unit in group:
             factory = factories[unit.index]
             try:
@@ -174,7 +172,7 @@ def _run_group(group: Sequence[WorkUnit],
                     else measure_rate(factory, unit.rate_pps, options))
             except Exception as exc:
                 outcomes[unit] = _failure(exc)
-    return outcomes, store.traces if store is not None else CacheStats()
+    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +221,8 @@ def unit_key(unit: WorkUnit, options: EvaluationOptions) -> str:
 
 
 def clear_cache(cache_dir: str = DEFAULT_CACHE_DIR) -> int:
-    """Delete every stored unit result and trace under ``cache_dir``;
-    returns how many entries were removed."""
+    """Delete every stored unit result under ``cache_dir``; returns how
+    many were removed."""
     return open_store(cache_dir).clear()
 
 
@@ -232,20 +230,10 @@ def clear_cache(cache_dir: str = DEFAULT_CACHE_DIR) -> int:
 #: the first and for runs without a store).
 _LAST_STATS: Optional[CacheStats] = None
 
-#: Trace counters aggregated over the units of the most recent
-#: run_units() call (None likewise).
-_LAST_CORPUS: Optional[CacheStats] = None
-
 
 def last_cache_stats() -> Optional[CacheStats]:
     """Unit-result counters from the most recent harness invocation."""
     return _LAST_STATS
-
-
-def last_corpus_stats() -> Optional[CacheStats]:
-    """Trace counters from the most recent harness invocation, aggregated
-    across executed units (pool workers included)."""
-    return _LAST_CORPUS
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +263,7 @@ def run_units(
     all its units.  The returned mapping is keyed by :class:`WorkUnit` in
     canonical order, independent of completion order.
     """
-    global _LAST_STATS, _LAST_CORPUS
+    global _LAST_STATS
     names = [factory().name for factory in factories]
     units = plan_units(names, options)
     store = open_store(options.cache_dir)
@@ -297,21 +285,17 @@ def run_units(
     inline_groups = _input_groups([u for u in pending
                                    if not pooled[u.index]])
 
-    corpus = CacheStats()
     failures: Dict[WorkUnit, Exception] = {}
 
-    def call(group: Sequence[WorkUnit]) -> Callable[[], tuple]:
+    def call(group: Sequence[WorkUnit]) -> Callable[[], Dict]:
         return partial(_run_group, group,
                        {u.index: factories[u.index] for u in group}, options)
 
-    def finish(group: Sequence[WorkUnit], run: Callable[[], tuple]) -> None:
-        nonlocal corpus
+    def finish(group: Sequence[WorkUnit], run: Callable[[], Dict]) -> None:
         try:
-            outcomes, delta = run()
+            outcomes = run()
         except Exception as exc:  # the task's worker died
             outcomes = dict.fromkeys(group, _failure(exc))
-            delta = CacheStats()
-        corpus = corpus + delta
         for unit, outcome in outcomes.items():
             if isinstance(outcome, _Failure):
                 if outcome.exc.__traceback__ is None:  # raised in a worker
@@ -333,7 +317,6 @@ def run_units(
         finish(group, call(group))
 
     _LAST_STATS = store.units if store is not None else None
-    _LAST_CORPUS = corpus if store is not None else None
     if failures:
         first = min(failures)
         raise WorkUnitError(first, failures[first]) from failures[first]

@@ -90,8 +90,8 @@ class EvaluationOptions:
     fault_severities: Sequence[float] = (0.5, 1.0)
     #: process-pool width; 1 = serial in-process, 0 = one per CPU
     workers: int = 1
-    #: artifact store directory (unit results and generated traces);
-    #: None disables memoization
+    #: artifact store directory (work-unit results); None disables
+    #: memoization
     cache_dir: Optional[str] = None
 
 

@@ -1,45 +1,36 @@
-"""The artifact store's trace corpus: hit/miss semantics, source-digest
-keys, result equivalence, and the ``clear-cache`` extension.
+"""Trace retention scopes, source-digest keys, and the results-only
+artifact store.
 
-Stored traces are a pure execution optimization: a battery run with a warm
-store must produce results equal to a cold run, which must equal a run
-with no store at all.  Entries are content-keyed (including the source
-digest), corrupt entries are regenerated and counted, and outside a store
-the generators run directly.
+Traces are rebuilt from the seed, never stored: within a retention scope
+each distinct trace is built once, outside one the generators run
+directly.  The store keeps work-unit results only, content-keyed
+(including the source digest), and ``clear-cache`` also removes the trace
+files earlier versions stored.
 """
 
 import gc
 import os
-import pickle
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from repro.core.profiles import realtime_cluster_requirements
 from repro.eval import corpus, throughput
-from repro.eval.corpus import (
-    ArtifactStore,
-    CacheStats,
-    corpus_trace,
-    open_store,
-    serving,
-)
+from repro.eval.corpus import CacheStats, corpus_trace, open_store, serving
 from repro.eval.accuracy import sensitivity_sweep
 from repro.eval.parallel import (WorkUnitError, clear_cache,
-                                 last_cache_stats, last_corpus_stats,
-                                 run_units)
+                                 last_cache_stats, run_units)
 from repro.eval.runner import (EvaluationOptions, evaluate_field,
                                evaluate_product, measure_rate,
                                measure_scenario)
-from repro.eval.testbed import EvalTestbed, cluster_scenario
+from repro.eval.testbed import EvalTestbed
 from repro.net.address import IPv4Address
 from repro.net.packet import Packet
 from repro.net.trace import Trace
 from repro.products import (AafidProduct, ManhuntProduct, NidProduct,
                             RealSecureProduct)
-from repro.traffic.mixer import Scenario, ScenarioBuilder
+from repro.traffic.mixer import ScenarioBuilder
 
 A = IPv4Address("10.9.0.1")
 B = IPv4Address("10.9.0.2")
@@ -58,88 +49,17 @@ def small_trace(tag: bytes) -> Trace:
 KEY = (("k", 1),)
 
 
-class TestTraceCorpus:
-    def test_miss_store_hit(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        built = []
-
-        def build():
-            built.append(1)
-            return small_trace(b"x")
-
-        first = store.trace("t", KEY, build)
-        assert built == [1]
-        assert store.traces == CacheStats(hits=0, misses=1, stores=1)
-        for _ in range(2):
-            from_disk = store.trace("t", KEY, build)
-            assert built == [1]             # disk hit, no rebuild
-            assert from_disk is not first   # the store keeps no memory
-            assert [p.payload for _, p in from_disk] == [b"x"]
-        assert store.traces.hits == 2
-
-    def test_distinct_tokens_distinct_entries(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        t1 = store.trace("t", (("k", 1),), lambda: small_trace(b"one"))
-        t2 = store.trace("t", (("k", 2),), lambda: small_trace(b"two"))
-        assert [p.payload for _, p in t1] != [p.payload for _, p in t2]
-        assert store.traces.misses == 2
-
-    def test_corrupt_entry_is_regenerated(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        store.trace("t", KEY, lambda: small_trace(b"good"))
-        (entry,) = [n for n in os.listdir(tmp_path) if n.endswith(".rtrc")]
-        with open(os.path.join(str(tmp_path), entry), "wb") as fh:
-            fh.write(b"RTRCgarbage")
-        rebuilt = store.trace("t", KEY, lambda: small_trace(b"good"))
-        assert [p.payload for _, p in rebuilt] == [b"good"]
-        assert store.traces == CacheStats(hits=0, misses=2, stores=2,
-                                          unreadable=1)
-
-        # a scenario entry whose metadata sidecar is missing, then corrupt
-        def build():
-            return Scenario(name="s", trace=small_trace(b"s"), attacks=[],
-                            duration_s=1.0, seed=0)
-
-        store.scenario("s", KEY, build)
-        (meta,) = [os.path.join(str(tmp_path), n)
-                   for n in os.listdir(tmp_path) if n.endswith(".meta")]
-        for damage in (os.unlink, lambda path: open(path, "wb").close()):
-            damage(meta)
-            assert store.scenario("s", KEY, build).name == "s"
-        assert store.traces == CacheStats(hits=0, misses=5, stores=5,
-                                          unreadable=3)
-
-    def test_scenario_round_trip(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        nodes = [IPv4Address(f"10.9.1.{i}") for i in range(1, 5)]
-
-        def build():        # outside a store: built raw, uncached
-            return cluster_scenario(nodes, duration_s=8.0, seed=3)
-
-        cold = store.scenario("s", KEY, build)
-        warm = store.scenario("s", KEY, build)
-        assert warm.name == cold.name
-        assert warm.duration_s == cold.duration_s
-        assert warm.seed == cold.seed
-        assert pickle.dumps(warm.attacks) == pickle.dumps(cold.attacks)
-        assert len(warm.trace) == len(cold.trace)
-        assert [(t, p.src.value, p.payload, p.attack_id)
-                for t, p in warm.trace] == \
-            [(t, p.src.value, p.payload, p.attack_id)
-             for t, p in cold.trace]
-
-
 class TestAmbientActivation:
-    def test_serving_activates_and_restores(self, tmp_path):
+    def test_serving_activates_and_restores(self):
         built = []
 
         def build():
             built.append(1)
             return small_trace(b"x")
 
-        with serving(ArtifactStore(str(tmp_path))):
+        with serving():
             corpus_trace("t", KEY, build)
-            with serving(None):          # a nested scope, its own memo
+            with serving():              # a nested scope, its own memo
                 corpus_trace("t", KEY, build)
             corpus_trace("t", KEY, build)
         corpus_trace("t", KEY, build)
@@ -154,7 +74,7 @@ class TestAmbientActivation:
 
         corpus_trace("t", KEY, build)
         corpus_trace("t", KEY, build)
-        assert built == [1, 1]           # no store: no memoization
+        assert built == [1, 1]           # no scope: no memoization
         assert not os.listdir(tmp_path)
 
     def test_open_store_is_not_process_global(self, tmp_path):
@@ -162,14 +82,6 @@ class TestAmbientActivation:
         store = open_store(str(tmp_path))
         assert store.root == str(tmp_path)
         assert open_store(str(tmp_path)) is not store
-
-    def test_corpus_stats_aggregates(self, tmp_path):
-        store = open_store(str(tmp_path / "agg"))
-        base = replace(store.traces)
-        with serving(store):
-            corpus_trace("t", KEY, lambda: small_trace(b"x"))
-            corpus_trace("t", KEY, lambda: small_trace(b"x"))
-        assert store.traces - base == CacheStats(hits=1, misses=1, stores=1)
 
 
 class TestSourceDigest:
@@ -183,44 +95,43 @@ class TestSourceDigest:
         opts = EvaluationOptions(**{**TINY, "throughput_rates_pps": (500,)},
                                  cache_dir=str(tmp_path / "cache"))
         first = evaluate_product(AafidProduct, opts)
-        traces = last_corpus_stats().misses
-        assert traces > 0
         monkeypatch.setattr(corpus, "source_digest", lambda: "edited")
         again = evaluate_product(AafidProduct, opts)
         assert last_cache_stats() == CacheStats(hits=0, misses=2, stores=2)
-        assert last_corpus_stats() == CacheStats(hits=0, misses=traces,
-                                                 stores=traces)
         assert again == first
 
 
 class TestBatteryIntegration:
     def test_warm_corpus_equals_cold_equals_uncached(self, tmp_path):
+        """The store holds one result per unit and nothing else, pool
+        workers included; a warm run equals a cold and an uncached one."""
         cache = str(tmp_path / "cache")
+        opts = EvaluationOptions(**TINY, workers=2, cache_dir=cache)
         uncached = evaluate_product(ManhuntProduct,
                                     EvaluationOptions(**TINY))
-        cold = evaluate_product(ManhuntProduct,
-                                EvaluationOptions(**TINY, cache_dir=cache))
-        assert last_corpus_stats().misses > 0
-        assert last_corpus_stats().stores > 0
-        # drop the unit results but keep the traces: everything re-runs
-        # against stored traces
-        for name in os.listdir(cache):
-            if name.endswith(".pkl"):
-                os.unlink(os.path.join(cache, name))
-        warm = evaluate_product(ManhuntProduct,
-                                EvaluationOptions(**TINY, cache_dir=cache))
-        assert last_corpus_stats().misses == 0
-        assert last_corpus_stats().hits > 0
+        cold = evaluate_product(ManhuntProduct, opts)
+        assert sorted(os.path.splitext(n)[1]
+                      for n in os.listdir(cache)) == [".pkl"] * 3
+        warm = evaluate_product(ManhuntProduct, opts)
+        assert last_cache_stats() == CacheStats(hits=3, misses=0, stores=0)
         assert cold == uncached
         assert warm == uncached
 
     def test_clear_cache_clears_corpus_too(self, tmp_path):
+        """``clear-cache`` also deletes the ``.rtrc`` traces, ``.meta``
+        scenario sidecars and stray ``.tmp`` files earlier versions left
+        in the store, counting only the work-unit results."""
         cache = str(tmp_path / "cache")
         evaluate_product(ManhuntProduct,
-                         EvaluationOptions(**TINY, cache_dir=cache))
-        assert any(n.endswith(".rtrc") for n in os.listdir(cache))
-        removed = clear_cache(cache)
-        assert removed > 0
+                         EvaluationOptions(**{**TINY, "throughput_rates_pps":
+                                              (500,)}, cache_dir=cache))
+        key = "0" * 64
+        small_trace(b"x").save(os.path.join(cache, key + ".rtrc"))
+        with open(os.path.join(cache, key + ".meta"), "wb") as fh:
+            fh.write(b"sidecar")
+        with open(os.path.join(cache, "stray.tmp"), "wb"):
+            pass
+        assert clear_cache(cache) == 2
         assert not os.listdir(cache)
 
     def test_clear_corpus_missing_dir(self, tmp_path):
@@ -250,7 +161,7 @@ class Builds:
             self.alive_at_load.append(
                 sum(ref() is not None for ref in self.built))
             self.memo_at_load.append(
-                sorted(kind for kind, _ in corpus._SCOPE[1])
+                sorted(kind for kind, _ in corpus._SCOPE)
                 if corpus._SCOPE is not None else None)
             self.load[rate_pps] += 1
             trace = make_load_trace(rng, rate_pps, *args, **kwargs)

@@ -152,3 +152,16 @@ class TestFieldEvaluation:
                                     "Observed False Negative Ratio")
         assert entry.raw_value is not None
         assert entry.evidence
+
+    def test_raw_values_are_the_observations(self, field):
+        """Visibility records the induced latency it was scored from; the
+        fact-derived Host/OS and Process Security record their score."""
+        card = field.scorecard
+        for product, evaluation in field.evaluations.items():
+            visibility = card.get(product, "Visibility")
+            assert visibility.raw_value == \
+                evaluation.bundle.latency.induced_latency_s, product
+            for metric in ("Host/OS Security", "Process Security"):
+                entry = card.get(product, metric)
+                assert entry.raw_value == float(entry.score), (product,
+                                                               metric)

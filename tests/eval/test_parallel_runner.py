@@ -19,6 +19,7 @@ from repro.core.profiles import realtime_cluster_requirements
 from repro.core.report import format_weighted_results
 from repro.eval.corpus import ArtifactStore
 from repro.eval.parallel import (
+    CacheStats,
     WorkUnit,
     WorkUnitError,
     _group_cost,
@@ -241,8 +242,6 @@ class TestResultCache:
         # pickle raises on text garbage ("garbage\n")
         for junk in (b"not a pickle", b"garbage\n"):
             for name in os.listdir(cache_dir):
-                if not name.endswith(".pkl"):
-                    continue        # skip the stored traces
                 with open(os.path.join(cache_dir, name), "wb") as fh:
                     fh.write(junk)
             again = evaluate_product(AafidProduct, opts)
@@ -259,12 +258,33 @@ class TestResultCache:
             return [n for n in os.listdir(cache_dir) if n.endswith(suffix)]
 
         assert len(entries(".pkl")) == 2
-        n_traces = len(entries(".rtrc"))
-        assert n_traces > 0
-        # clear-cache drops the work units and the traces together
-        assert clear_cache(cache_dir) == 2 + n_traces
+        assert len(os.listdir(cache_dir)) == 2   # results only, no traces
+        assert clear_cache(cache_dir) == 2
         assert not os.listdir(cache_dir)
         assert clear_cache(cache_dir) == 0
+
+    def test_units_serve_other_configurations(self, tmp_path, serial_field):
+        """A stored unit serves every configuration that shares it, and
+        the units it does not share rebuild their traces from the seed."""
+        cache_dir = str(tmp_path / "cache")
+        # a faulted run after a clean one: the fault plan keys only the
+        # scenario unit, so both rate units hit
+        evaluate_product(AafidProduct, options(cache_dir=cache_dir))
+        faulted = evaluate_product(AafidProduct, options(
+            cache_dir=cache_dir, faults="crash-recover"))
+        assert last_cache_stats() == CacheStats(hits=2, misses=1, stores=1)
+        assert faulted == evaluate_product(AafidProduct, options(
+            faults="crash-recover"))
+
+        # a wider field: only the new product's units miss
+        cache_dir = str(tmp_path / "field")
+        evaluate_field(FIELD_PRODUCTS[:1], realtime_cluster_requirements(),
+                       options(cache_dir=cache_dir))
+        wider = evaluate_field(FIELD_PRODUCTS,
+                               realtime_cluster_requirements(),
+                               options(cache_dir=cache_dir))
+        assert last_cache_stats() == CacheStats(hits=3, misses=3, stores=3)
+        assert wider.evaluations == serial_field.evaluations
 
     def test_unpicklable_factory_degrades_to_inline(self):
         sensitivity = 0.7
