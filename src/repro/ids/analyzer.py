@@ -33,6 +33,11 @@ __all__ = ["Analyzer"]
 #: storage cost (bytes) to retain one detection of history
 _DETECTION_RECORD_BYTES = 96
 
+#: burst promotion, indexed by severity: one step up, capped at CRITICAL
+#: (a table lookup instead of an enum construction per promoted alert)
+_PROMOTED = tuple(Severity(min(level + 1, Severity.CRITICAL))
+                  for level in range(len(Severity)))
+
 
 class Analyzer(Component):
     """Classify and correlate sensor detections into alerts.
@@ -144,7 +149,7 @@ class Analyzer(Component):
             return  # suppressed duplicate inside the window
         severity = det.severity
         if count >= self.burst_promote:
-            severity = Severity(min(int(det.severity) + 1, int(Severity.CRITICAL)))
+            severity = _PROMOTED[det.severity]
             if window[2] and count > self.burst_promote:
                 return  # promoted alert already sent for this window
         window[2] = True

@@ -45,7 +45,7 @@ import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
-from ..net.packet import PROTO_IDS, Packet, Protocol, TcpFlags
+from ..net.packet import Packet, Protocol, TcpFlags
 from ..traffic.payload import shannon_entropy_prefix
 from .alert import Severity
 
@@ -53,8 +53,8 @@ __all__ = ["AnomalyEngine", "AnomalyScore"]
 
 _ENTROPY_SAMPLE = 256  # bytes of payload fed to the entropy estimator
 
-_TCP_ID = PROTO_IDS[Protocol.TCP]
-_ICMP_ID = PROTO_IDS[Protocol.ICMP]
+_TCP_ID = Protocol.TCP.proto_id
+_ICMP_ID = Protocol.ICMP.proto_id
 _SYN_BIT = int(TcpFlags.SYN)
 _ACK_BIT = int(TcpFlags.ACK)
 
@@ -255,14 +255,14 @@ class AnomalyEngine:
         changes no arithmetic.
         """
         self._services_ik = {
-            (PROTO_IDS[proto] << 16) | port
+            (proto.proto_id << 16) | port
             for proto, port in self._services}
         self._entropy_ik = {
-            (PROTO_IDS[proto] << 16) | port: (stats.mean, stats.std)
+            (proto.proto_id << 16) | port: (stats.mean, stats.std)
             for (proto, port), stats in self._entropy.items()
             if stats.n >= 8}
         self._tokens_ik = {
-            (PROTO_IDS[proto] << 16) | port: tokens
+            (proto.proto_id << 16) | port: tokens
             for (proto, port), tokens in self._tokens.items()}
         self._icmp_params = (
             (self._icmp_sizes.mean, self._icmp_sizes.std)

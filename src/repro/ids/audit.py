@@ -37,6 +37,10 @@ KNOWN_CLUSTER_COMMANDS = frozenset({"sync", "rebalance", "status",
 
 _CLUSTER_MAGIC = b"\x53\x4d\x54\x52"  # "RTMS" packed little-endian
 
+_TCP_ID = Protocol.TCP.proto_id
+_SYN_BITS = int(TcpFlags.SYN)
+_SYN_ACK_BITS = int(TcpFlags.SYN | TcpFlags.ACK)
+
 
 class AuditEventType(enum.Enum):
     CONNECTION = "connection"
@@ -121,27 +125,24 @@ def packet_to_events(pkt: Packet, now: float,
     ``depth`` selects the recorded event types (``NOMINAL_EVENTS`` or
     ``C2_EVENTS``).
     """
-    events: List[AuditEvent] = []
-    subject = str(pkt.src)
-    truth = pkt.attack_id
-
-    def add(etype: AuditEventType, detail: str) -> None:
-        if etype in depth:
-            events.append(AuditEvent(time=now, etype=etype, subject=subject,
-                                     detail=detail, truth_attack_id=truth))
-
-    # connection establishment (TCP SYN toward this host)
-    if (pkt.proto is Protocol.TCP and pkt.has_flag(TcpFlags.SYN)
-            and not pkt.has_flag(TcpFlags.ACK)):
-        add(AuditEventType.CONNECTION, f"tcp connect to port {pkt.dport}")
+    found = []  # (event type, detail)
+    # connection establishment (TCP SYN without ACK toward this host)
+    if pkt.proto_id == _TCP_ID and pkt.flag_bits & _SYN_ACK_BITS == _SYN_BITS:
+        found.append((AuditEventType.CONNECTION,
+                      f"tcp connect to port {pkt.dport}"))
 
     payload = pkt.payload
     if payload:
         if b"Login incorrect" in payload:
-            add(AuditEventType.LOGIN_FAILURE, "telnet login failure")
+            found.append((AuditEventType.LOGIN_FAILURE, "telnet login failure"))
         elif b"Last login" in payload:
-            add(AuditEventType.LOGIN_SUCCESS, "telnet login success")
+            found.append((AuditEventType.LOGIN_SUCCESS, "telnet login success"))
         command = _parse_cluster_command(payload)
         if command is not None:
-            add(AuditEventType.COMMAND, command)
-    return events
+            found.append((AuditEventType.COMMAND, command))
+    if not found:
+        return []
+    subject = str(pkt.src)
+    return [AuditEvent(time=now, etype=etype, subject=subject, detail=detail,
+                       truth_attack_id=pkt.attack_id)
+            for etype, detail in found if etype in depth]

@@ -49,15 +49,12 @@ class LoggingLevel(enum.Enum):
     NOMINAL = "nominal"   # 3-5 % of the host CPU
     C2 = "c2"             # ~20 % (DoD Controlled Access Protection)
 
-    @property
-    def cpu_fraction(self) -> float:
-        return 0.04 if self is LoggingLevel.NOMINAL else 0.20
-
-    @property
-    def event_depth(self) -> frozenset:
-        """Audit event types recorded at this depth (C2 adds COMMAND
-        records -- the visibility that catches the insider case)."""
-        return C2_EVENTS if self is LoggingLevel.C2 else NOMINAL_EVENTS
+    def __init__(self, value: str) -> None:
+        # plain member attributes: the audit path reads the depth per packet
+        self.cpu_fraction = 0.04 if value == "nominal" else 0.20
+        #: audit event types recorded at this depth (C2 adds COMMAND
+        #: records -- the visibility that catches the insider case)
+        self.event_depth = C2_EVENTS if value == "c2" else NOMINAL_EVENTS
 
 
 class HostAgent(Component):

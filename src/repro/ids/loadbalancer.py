@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..net.address import Subnet
-from ..net.flow import FlowKey
-from ..net.packet import PROTO_IDS, Packet
+from ..net.packet import Packet
 from ..sim.engine import Engine
 from .component import Component, Subprocess
 from .sensor import Sensor
@@ -43,6 +42,18 @@ __all__ = [
     "HashBalancer",
     "DynamicBalancer",
 ]
+
+
+def _flow_ints(pkt: Packet) -> tuple:
+    """The canonical bidirectional five-tuple as ints: the fields of
+    :meth:`repro.net.flow.FlowKey.of` with addresses by value and the
+    protocol by ``proto_id``.  Both directions of a flow map to the same
+    tuple, and it hashes the same in every process (no salted ``str``)."""
+    src, sport = pkt.src.value, pkt.sport
+    dst, dport = pkt.dst.value, pkt.dport
+    if src < dst or (src == dst and sport <= dport):
+        return (src, sport, dst, dport, pkt.proto_id)
+    return (dst, dport, src, sport, pkt.proto_id)
 
 
 class LoadBalancer(Component):
@@ -235,20 +246,15 @@ class StaticPlacementBalancer(LoadBalancer):
 class HashBalancer(LoadBalancer):
     """Flow-hash spreading: canonical five-tuple hash modulo sensor count.
 
-    Both directions of a flow hash identically (the :class:`FlowKey` is
+    Both directions of a flow hash identically (:func:`_flow_ints` is
     bidirectional), so TCP sessions stay on one sensor.  The hashed tuple
-    holds only ints (the protocol by its :data:`PROTO_IDS` index, not its
-    per-process salted ``str`` value), so assignment is the same in every
-    process.
+    holds only ints, so assignment is the same in every process.
     """
 
     strategy = "flow-hash"
 
     def select(self, pkt: Packet) -> Sensor:
-        key = FlowKey.of(pkt)
-        h = hash((key.addr_lo.value, key.port_lo, key.addr_hi.value,
-                  key.port_hi, PROTO_IDS[key.proto]))
-        return self.sensors[h % len(self.sensors)]
+        return self.sensors[hash(_flow_ints(pkt)) % len(self.sensors)]
 
 
 class DynamicBalancer(LoadBalancer):
@@ -267,7 +273,7 @@ class DynamicBalancer(LoadBalancer):
         if max_flows <= 0:
             raise ConfigurationError("max_flows must be positive")
         self.max_flows = int(max_flows)
-        self._assignment: Dict[FlowKey, Sensor] = {}
+        self._assignment: Dict[tuple, Sensor] = {}  # by _flow_ints()
 
     def notify_recovered(self, sensor: Sensor) -> None:
         """A recovered sensor rejoins least-backlog selection immediately:
@@ -277,7 +283,7 @@ class DynamicBalancer(LoadBalancer):
         self._assignment.clear()
 
     def select(self, pkt: Packet) -> Sensor:
-        key = FlowKey.of(pkt)
+        key = _flow_ints(pkt)
         sensor = self._assignment.get(key)
         if sensor is not None and sensor.up:
             return sensor

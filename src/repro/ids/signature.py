@@ -245,7 +245,7 @@ class StreamPatternRule(SignatureRule):
         if self.ports is not None and pkt.dport not in self.ports \
                 and pkt.sport not in self.ports:
             return None
-        if pkt.proto is not Protocol.TCP:
+        if pkt.proto_id != _TCP_ID:
             # datagrams have no stream: plain per-packet matching
             for pattern in self.patterns:
                 if pattern in payload:
@@ -283,7 +283,8 @@ class HeaderRule(SignatureRule):
         super().__init__(name, **kwargs)
         self.proto = proto
         self.dports = frozenset(int(p) for p in dports) if dports is not None else None
-        self.flags = flags
+        #: required flag bits, as a plain int (see ``Packet.flag_bits``)
+        self.flags = None if flags is None else int(flags)
         self.min_payload = min_payload
         self.predicate = predicate
 
@@ -292,7 +293,7 @@ class HeaderRule(SignatureRule):
             return None
         if self.dports is not None and pkt.dport not in self.dports:
             return None
-        if self.flags is not None and (pkt.flags & self.flags) != self.flags:
+        if self.flags is not None and pkt.flag_bits & self.flags != self.flags:
             return None
         if self.min_payload is not None and pkt.payload_len < self.min_payload:
             return None
@@ -451,6 +452,12 @@ class SignatureEngine:
 _KNOWN_SERVICE_PORTS = frozenset({21, 22, 23, 25, 53, 80, 110, 143, 443,
                                   7000, 7001, 8000})
 
+# Per-packet tests read the int mirrors ``Packet.proto_id`` and
+# ``Packet.flag_bits``: an enum class attribute lookup or an IntFlag
+# operation is a python-level call per packet.
+_TCP_ID = Protocol.TCP.proto_id
+_UDP_ID = Protocol.UDP.proto_id
+_ICMP_ID = Protocol.ICMP.proto_id
 _SYN_BITS = int(TcpFlags.SYN)
 _SYN_ACK_BITS = int(TcpFlags.SYN | TcpFlags.ACK)
 
@@ -463,24 +470,19 @@ def default_ruleset(payload_inspection: bool = True) -> List[SignatureRule]:
     """
     from ..attacks.exploits import CGI_PROBE_PATHS, OVERFLOW_MARKER
 
-    # bare-SYN test on the int mirror of the flag field: these lambdas run
-    # per packet, where IntFlag operations are measurably slow
-    syn_ack = int(TcpFlags.SYN | TcpFlags.ACK)
-    syn = int(TcpFlags.SYN)
-
     rules: List[SignatureRule] = [
         # --- reconnaissance -------------------------------------------
         ThresholdRule(
             "syn-portscan",
             key_fn=lambda p: p.src.value if (
-                p.proto is Protocol.TCP
-                and p.flag_bits & syn_ack == syn) else None,
+                p.proto_id == _TCP_ID
+                and p.flag_bits & _SYN_ACK_BITS == _SYN_BITS) else None,
             value_fn=lambda p: p.dport,
             threshold=40, window_s=5.0,
             category="portscan", severity=Severity.MEDIUM),
         ThresholdRule(
             "icmp-sweep",
-            key_fn=lambda p: p.src.value if p.proto is Protocol.ICMP else None,
+            key_fn=lambda p: p.src.value if p.proto_id == _ICMP_ID else None,
             value_fn=lambda p: p.dst.value,
             threshold=8, window_s=5.0,
             category="host-sweep", severity=Severity.LOW),
@@ -488,14 +490,14 @@ def default_ruleset(payload_inspection: bool = True) -> List[SignatureRule]:
         ThresholdRule(
             "syn-flood",
             key_fn=lambda p: p.dst.value if (
-                p.proto is Protocol.TCP
-                and p.flag_bits & syn_ack == syn) else None,
+                p.proto_id == _TCP_ID
+                and p.flag_bits & _SYN_ACK_BITS == _SYN_BITS) else None,
             value_fn=lambda p: ThresholdRule.COUNT,
             threshold=600, window_s=2.0,
             category="syn-flood", severity=Severity.HIGH),
         ThresholdRule(
             "udp-flood",
-            key_fn=lambda p: p.dst.value if p.proto is Protocol.UDP
+            key_fn=lambda p: p.dst.value if p.proto_id == _UDP_ID
             and p.dport not in (7000,) else None,
             value_fn=lambda p: ThresholdRule.COUNT,
             threshold=1500, window_s=2.0,
@@ -504,7 +506,7 @@ def default_ruleset(payload_inspection: bool = True) -> List[SignatureRule]:
         ThresholdRule(
             "telnet-bruteforce",
             key_fn=lambda p: (p.src.value, p.dst.value) if (
-                p.proto is Protocol.TCP and p.dport == 23) else None,
+                p.proto_id == _TCP_ID and p.dport == 23) else None,
             value_fn=lambda p: ThresholdRule.COUNT,
             threshold=60, window_s=10.0,
             category="brute-force", severity=Severity.HIGH),
@@ -550,7 +552,7 @@ class _LongUriRule(SignatureRule):
                          base_score=0.35)
 
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
-        if pkt.payload is None or pkt.proto is not Protocol.TCP or pkt.dport != 80:
+        if pkt.payload is None or pkt.proto_id != _TCP_ID or pkt.dport != 80:
             return None
         if not pkt.payload.startswith((b"GET ", b"POST ", b"HEAD ")):
             return None
@@ -579,7 +581,7 @@ class _OddPortRule(SignatureRule):
                          base_score=0.3)
 
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
-        if pkt.proto is not Protocol.TCP:
+        if pkt.proto_id != _TCP_ID:
             return None
         if pkt.flag_bits & _SYN_ACK_BITS != _SYN_BITS:  # bare SYN only
             return None

@@ -1,9 +1,10 @@
 """Flow identification.
 
 A *flow* is the bidirectional conversation identified by the canonicalized
-five-tuple.  :class:`FlowKey` keys the session-aware load balancer (which
-must keep a TCP session on one sensor, section 2.2) and the ground-truth
-attribution of packets to attacks.
+five-tuple.  :class:`FlowKey` keys the ground-truth count of benign
+transactions.  The session-aware load balancers (which must keep a TCP
+session on one sensor, section 2.2) key flows by the same fields as a
+plain int tuple, built per packet without enum hashing.
 """
 
 from __future__ import annotations

@@ -19,12 +19,11 @@ from typing import Optional
 from ..errors import NetworkError
 from .address import IPv4Address
 
-__all__ = ["Protocol", "TcpFlags", "Packet", "PROTO_IDS",
-           "ETHERNET_HEADER", "IP_HEADER"]
+__all__ = ["Protocol", "TcpFlags", "Packet", "ETHERNET_HEADER", "IP_HEADER"]
 
 ETHERNET_HEADER = 14
 IP_HEADER = 20
-_PROTO_HEADER = {  # transport header sizes
+_PROTO_HEADER = {  # transport header sizes, in member order
     "TCP": 20,
     "UDP": 8,
     "ICMP": 8,
@@ -32,21 +31,27 @@ _PROTO_HEADER = {  # transport header sizes
 
 
 class Protocol(enum.Enum):
-    """Transport protocols the testbed models."""
+    """Transport protocols the testbed models.
+
+    Each member carries ``proto_id``, its small-int index in definition
+    order.  ``enum.Enum.__hash__`` is a python-level call (it hashes the
+    member name), too slow for per-packet dispatch keys; packets carry the
+    id in ``Packet.proto_id``.
+    """
 
     TCP = "TCP"
     UDP = "UDP"
     ICMP = "ICMP"
 
-    @property
-    def header_size(self) -> int:
-        return _PROTO_HEADER[self.value]
+    def __init__(self, value: str) -> None:
+        self.proto_id = list(_PROTO_HEADER).index(value)
+        #: transport header bytes
+        self.header_size = _PROTO_HEADER[value]
 
 
-#: Small-int protocol ids.  ``enum.Enum.__hash__`` is a python-level call
-#: (it hashes the member name), too slow for per-packet dispatch keys;
-#: packets carry the int mirror in ``Packet.proto_id``.
-PROTO_IDS = {proto: index for index, proto in enumerate(Protocol)}
+#: Ethernet + IP + transport header bytes, indexed by ``proto_id``.
+_WIRE_HEADER = tuple(ETHERNET_HEADER + IP_HEADER + proto.header_size
+                     for proto in Protocol)
 
 
 class TcpFlags(enum.IntFlag):
@@ -139,7 +144,7 @@ class Packet:
         self.sport = int(sport)
         self.dport = int(dport)
         self.proto = proto
-        self.proto_id = PROTO_IDS[proto]
+        self.proto_id = proto.proto_id
         self.flags = flags
         # plain-int mirror of ``flags``: IntFlag operations construct new
         # members per call, too slow for per-packet rule dispatch
@@ -172,15 +177,16 @@ class Packet:
     @property
     def wire_size(self) -> int:
         """Total on-the-wire bytes: Ethernet + IP + transport + payload."""
-        return ETHERNET_HEADER + IP_HEADER + self.proto.header_size + self._payload_len
+        return _WIRE_HEADER[self.proto_id] + self._payload_len
 
     @property
     def is_benign(self) -> bool:
         return self.attack_id is None
 
     def has_flag(self, flag: TcpFlags) -> bool:
-        # int & IntFlag yields a plain int: no enum member construction
-        return bool(self.flag_bits & flag)
+        # int() of a member is its plain value; ``int & IntFlag`` would
+        # dispatch to the python-level ``IntFlag.__rand__``
+        return bool(self.flag_bits & int(flag))
 
     def five_tuple(self) -> tuple:
         return (self.src, self.sport, self.dst, self.dport, self.proto)

@@ -7,7 +7,10 @@ insertion order, so runs are fully deterministic.
 
 The engine is deliberately callback-based for speed -- the IDS testbed pushes
 hundreds of thousands of packet events through it, most of them replayed
-from a trace through :meth:`Engine.schedule_stream`.
+from a trace through :meth:`Engine.schedule_stream`.  Heap entries are
+``(time, priority, seq, handle)`` tuples, so every ordering decision is a
+C-level tuple comparison (``seq`` is unique, so the handle itself is never
+compared).
 """
 
 from __future__ import annotations
@@ -19,9 +22,13 @@ from ..errors import ScheduleError, SimulationError
 
 __all__ = ["Engine", "EventHandle"]
 
-
-def _noop() -> None:  # placeholder callback while a stream cursor is built
-    return None
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_INF = float("inf")
+#: A popped entry lies in the past only after ``run(until=...,
+#: max_events=...)`` stopped on the event count and still moved the clock
+#: to ``until``.
+_IN_THE_PAST = "event heap yielded an event in the past"
 
 
 class EventHandle:
@@ -31,20 +38,10 @@ class EventHandle:
     popped, which keeps :meth:`Engine.cancel` O(1).
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled")
+    __slots__ = ("fn", "args", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn: Optional[Callable[..., Any]] = fn
+    def __init__(self, fn: Optional[Callable[..., Any]], args: tuple) -> None:
+        self.fn = fn
         self.args = args
         self.cancelled = False
 
@@ -54,16 +51,36 @@ class EventHandle:
         self.fn = None  # drop references early
         self.args = ()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time:.6f} prio={self.priority} {state}>"
+        return f"<{type(self).__name__} {state}>"
+
+
+class _StreamCursor(EventHandle):
+    """The one heap entry of a :meth:`Engine.schedule_stream` replay.
+
+    Record ``i`` is queued under sequence number ``base + i``, so the
+    entry's ``seq`` is also the cursor's position in ``records``.
+    """
+
+    __slots__ = ("records", "sink", "start_at", "t0", "speedup", "priority",
+                 "base")
+
+    def __init__(self, records, sink: Callable[..., Any], start_at: float,
+                 speedup: float, priority: int, base: int) -> None:
+        super().__init__(None, ())
+        self.records = records
+        self.sink = sink
+        self.start_at = start_at
+        self.t0 = records[0][0]
+        self.speedup = speedup
+        self.priority = priority
+        self.base = base
+
+    def entry(self, idx: int) -> tuple:
+        """The heap entry that delivers record ``idx``."""
+        return (self.start_at + (self.records[idx][0] - self.t0) / self.speedup,
+                self.priority, self.base + idx, self)
 
 
 class Engine:
@@ -73,6 +90,13 @@ class Engine:
     ----------
     start_time:
         Initial value of the simulation clock, in simulated seconds.
+
+    Attributes
+    ----------
+    now:
+        Current simulated time in seconds.  A plain attribute that only
+        the engine writes, so per-packet components read the clock without
+        a call.
 
     Examples
     --------
@@ -87,25 +111,21 @@ class Engine:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._heap: list[EventHandle] = []
+        self.now = float(start_time)
+        self._heap: list[tuple] = []
         self._seq = 0
         self._running = False
         self._stopped = False
+        #: a stream's next entry while :meth:`run` delivers the stream's
+        #: current record inline; it joins the heap unless it can be
+        #: delivered inline too
+        self._held: Optional[tuple] = None
         self.events_executed = 0
-
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
         """Number of heap entries, including lazily cancelled ones."""
-        return len(self._heap)
+        return len(self._heap) + (self._held is not None)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -118,9 +138,15 @@ class Engine:
         priority: int = 0,
     ) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ScheduleError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args, priority=priority)
+        if not delay >= 0:
+            raise ScheduleError(f"negative or NaN delay {delay!r}")
+        if not callable(fn):
+            raise ScheduleError(f"callback {fn!r} is not callable")
+        handle = EventHandle(fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (float(self.now + delay), priority, seq, handle))
+        return handle
 
     def schedule_at(
         self,
@@ -130,15 +156,15 @@ class Engine:
         priority: int = 0,
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self.now:
             raise ScheduleError(
-                f"cannot schedule at t={time!r}; clock already at {self._now!r}"
-            )
+                f"cannot schedule at t={time!r}; clock already at {self.now!r}")
         if not callable(fn):
             raise ScheduleError(f"callback {fn!r} is not callable")
-        handle = EventHandle(float(time), priority, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        handle = EventHandle(fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (float(time), priority, seq, handle))
         return handle
 
     @staticmethod
@@ -164,9 +190,11 @@ class Engine:
 
         Event ordering is *identical* to eager per-record ``schedule_at``
         calls: the cursor reserves the contiguous sequence-number block
-        those calls would have consumed and stamps record ``i``'s number
-        before each re-push, so ties against unrelated events (same time,
-        same priority) break exactly the same way.
+        those calls would have consumed and queues record ``i`` under
+        number ``base + i``, so ties against unrelated events (same time,
+        same priority) break exactly the same way.  Inside :meth:`run`, a
+        record whose entry would be the next one popped anyway is delivered
+        directly, without a heap push and pop.
 
         Cancelling the returned cursor stops the not-yet-delivered
         remainder of the stream.
@@ -174,59 +202,102 @@ class Engine:
         n = len(records)
         if n == 0:
             raise ScheduleError("schedule_stream needs at least one record")
-        if speedup <= 0:
-            raise ScheduleError(f"non-positive speedup {speedup!r}")
+        if not speedup > 0:
+            raise ScheduleError(f"non-positive or NaN speedup {speedup!r}")
+        if start_at != start_at:
+            raise ScheduleError("NaN start_at")
         if not callable(sink):
             raise ScheduleError(f"sink {sink!r} is not callable")
-        t0 = records[0][0]
-        first_at = start_at + (records[0][0] - t0) / speedup
-        if first_at < self._now:
+        base = self._seq
+        cursor = _StreamCursor(records, sink, start_at, speedup, priority, base)
+        first_at, _, _, _ = cursor.entry(0)
+        if not first_at >= self.now:
             raise ScheduleError(
                 f"cannot schedule at t={first_at!r}; "
-                f"clock already at {self._now!r}")
-        base = self._seq
+                f"clock already at {self.now!r}")
         self._seq += n  # reserve the block eager scheduling would have used
-        cursor = EventHandle(float(first_at), priority, base, _noop, ())
-        idx = 0
-
-        def fire() -> None:
-            nonlocal idx
-            record = records[idx]
-            idx += 1
-            if idx < n and not cursor.cancelled:
-                cursor.time = start_at + (records[idx][0] - t0) / speedup
-                cursor.seq = base + idx
-                cursor.fn = fire
-                cursor.args = ()
-                heapq.heappush(self._heap, cursor)
-            sink(record[1])
-
-        cursor.fn = fire
-        heapq.heappush(self._heap, cursor)
+        _heappush(self._heap, (float(first_at), priority, base, cursor))
         return cursor
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def _pop_live(self) -> Optional[tuple]:
+        """Pop entries until a live one; ``None`` when the heap drains."""
+        heap = self._heap
+        while heap:
+            entry = _heappop(heap)
+            if not entry[3].cancelled:
+                return entry
+        return None
+
     def step(self) -> bool:
         """Execute the single next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the heap was empty.
         """
-        while self._heap:
-            handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            if handle.time < self._now:  # pragma: no cover - internal guard
-                raise SimulationError("event heap yielded an event in the past")
-            self._now = handle.time
+        if self._held is not None:
+            # called from a stream's sink inside run(): the stream's next
+            # record joins the heap before anything is popped
+            _heappush(self._heap, self._held)
+            self._held = None
+        entry = self._pop_live()
+        if entry is None:
+            return False
+        if entry[0] < self.now:
+            raise SimulationError(_IN_THE_PAST)
+        self.now = entry[0]
+        handle = entry[3]
+        if handle.__class__ is _StreamCursor:
+            idx = entry[2] - handle.base
+            if idx + 1 < len(handle.records):
+                _heappush(self._heap, handle.entry(idx + 1))
+            handle.sink(handle.records[idx][1])
+        else:
             fn, args = handle.fn, handle.args
             handle.fn, handle.args = None, ()  # break cycles
-            assert fn is not None
             fn(*args)
+        self.events_executed += 1
+        return True
+
+    def _deliver_stream(self, entry: tuple, until: float, budget: float) -> int:
+        """Deliver a popped stream entry, then each next record of the
+        stream that would be the next event :meth:`run` pops anyway: it
+        sorts before ``heap[0]``, lies within ``until``, fits ``budget``
+        and nothing called :meth:`stop`.  Returns how many records ran.
+
+        While the sink runs, the stream's next entry is held in
+        ``self._held``, where ``pending`` counts it, :meth:`step` pushes it
+        and :meth:`run` pushes it if the sink raises -- the heap the
+        per-record push would have left, without paying for the push.
+        """
+        heap = self._heap
+        cursor = entry[3]
+        records = cursor.records
+        sink = cursor.sink
+        n = len(records)
+        idx = entry[2] - cursor.base
+        done = 0
+        while True:
+            payload = records[idx][1]
+            idx += 1
+            if idx == n:
+                sink(payload)
+                self.events_executed += 1
+                return done + 1
+            held = self._held = cursor.entry(idx)
+            sink(payload)
             self.events_executed += 1
-            return True
-        return False
+            done += 1
+            if self._held is None:  # a nested step() took it
+                return done
+            self._held = None
+            if (cursor.cancelled or self._stopped or done >= budget
+                    or held[0] > until or held[0] < self.now
+                    or (heap and heap[0] < held)):
+                _heappush(heap, held)
+                return done
+            self.now = held[0]
 
     def run(
         self,
@@ -238,7 +309,9 @@ class Engine:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run`` calls
-        compose like wall-clock intervals.
+        compose like wall-clock intervals.  ``until`` is compared with the
+        head of the heap before each event; lazily cancelled entries behind
+        that check are skipped together with it.
 
         Returns the simulation time when the run stopped.
         """
@@ -246,20 +319,42 @@ class Engine:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        limit = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         executed = 0
         try:
-            while self._heap and not self._stopped:
-                if until is not None and self._heap[0].time > until:
+            while heap and not self._stopped:
+                if heap[0][0] > limit or executed >= budget:
                     break
-                if max_events is not None and executed >= max_events:
-                    break
-                if self.step():
+                entry = _heappop(heap)
+                handle = entry[3]
+                if handle.cancelled:
+                    entry = self._pop_live()
+                    if entry is None:
+                        break
+                    handle = entry[3]
+                if entry[0] < self.now:
+                    raise SimulationError(_IN_THE_PAST)
+                self.now = entry[0]
+                if handle.__class__ is _StreamCursor:
+                    executed += self._deliver_stream(entry, limit,
+                                                     budget - executed)
+                else:
+                    fn, args = handle.fn, handle.args
+                    handle.fn, handle.args = None, ()  # break cycles
+                    fn(*args)
+                    self.events_executed += 1
                     executed += 1
-            if until is not None and not self._stopped and self._now < until:
-                self._now = float(until)
+            if until is not None and not self._stopped and self.now < until:
+                self.now = float(until)
         finally:
             self._running = False
-        return self._now
+            if self._held is not None:
+                # a sink raised: the rest of its stream stays scheduled
+                _heappush(heap, self._held)
+                self._held = None
+        return self.now
 
     def stop(self) -> None:
         """Stop a run in progress after the current callback returns."""

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import ConfigurationError
@@ -18,7 +20,9 @@ from repro.ids.loadbalancer import (
     HashBalancer,
     NoBalancer,
     StaticPlacementBalancer,
+    _flow_ints,
 )
+from repro.net.flow import FlowKey
 from repro.ids.sensor import Sensor
 from repro.sim.engine import Engine
 
@@ -126,6 +130,35 @@ class TestHashBalancer:
                           sport=int(rng.integers(1024, 65000))))
         eng.run()
         assert lb.balance_evenness() > 0.95
+
+
+class TestFlowInts:
+    """The balancers' int flow tuple is the tuple ``HashBalancer`` hashed
+    when it was built from a :class:`FlowKey`, so assignment is unchanged,
+    and it identifies flows exactly as ``FlowKey`` does."""
+
+    @staticmethod
+    def from_flow_key(p):
+        key = FlowKey.of(p)
+        return (key.addr_lo.value, key.port_lo, key.addr_hi.value,
+                key.port_hi, key.proto.proto_id)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(("10.0.0.5", "10.0.0.6", "198.18.0.1")),
+        st.sampled_from(("10.0.0.5", "10.0.0.6", "198.18.0.1")),
+        st.sampled_from((0, 80, 1000, 65535)),
+        st.sampled_from((0, 80, 1000, 65535)),
+        st.sampled_from(tuple(Protocol))), min_size=1, max_size=12))
+    def test_same_tuple_as_flow_key(self, fields):
+        packets = [pkt(src=a, dst=b, sport=sp, dport=dp, proto=proto)
+                   for a, b, sp, dp, proto in fields]
+        for p in packets:
+            assert _flow_ints(p) == self.from_flow_key(p)
+        for p in packets:
+            for q in packets:
+                assert ((_flow_ints(p) == _flow_ints(q))
+                        == (FlowKey.of(p) == FlowKey.of(q)))
 
 
 #: One RealSecure load probe; prints the hash balancer's per-sensor counts.

@@ -1,11 +1,15 @@
-"""Unit and property tests for the discrete-event engine."""
+"""Unit and property tests for the discrete-event engine, and its
+differential test against the event-object heap engine it replaced
+(``tests/oracles/engine_reference.py``)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ScheduleError, SimulationError
+from repro.sim import engine as engine_module
 from repro.sim.engine import Engine
+from tests.oracles import engine_reference
 
 
 class TestScheduling:
@@ -178,3 +182,233 @@ class TestProperties:
         eng.run()
         expected = {i for i, (_, c) in enumerate(items) if not c}
         assert set(fired) == expected
+
+
+class TestNaNRejected:
+    """A NaN time compares false both ways, so it would slip past the
+    past-time guard and corrupt the heap order."""
+
+    def test_nan_delay(self):
+        eng = Engine()
+        with pytest.raises(ScheduleError):
+            eng.schedule(float("nan"), lambda: None)
+        assert eng.pending == 0
+
+    def test_nan_time(self):
+        eng = Engine()
+        with pytest.raises(ScheduleError):
+            eng.schedule_at(float("nan"), lambda: None)
+        assert eng.pending == 0
+
+    def test_nan_stream_start(self):
+        eng = Engine()
+        with pytest.raises(ScheduleError):
+            eng.schedule_stream([(0.0, "a")], print, start_at=float("nan"))
+        assert eng.pending == 0
+
+    def test_nan_stream_speedup(self):
+        eng = Engine()
+        with pytest.raises(ScheduleError):
+            eng.schedule_stream([(0.0, "a"), (1.0, "b")], print,
+                                speedup=float("nan"))
+        assert eng.pending == 0
+
+
+class TestInlineReplay:
+    def test_lone_stream_pushes_once(self, monkeypatch):
+        pushes = []
+        real = engine_module._heappush
+        monkeypatch.setattr(engine_module, "_heappush",
+                            lambda heap, entry: (pushes.append(entry[2]),
+                                                 real(heap, entry)))
+        eng = Engine()
+        seen = []
+        eng.schedule_stream([(float(i), i) for i in range(100)], seen.append)
+        eng.run()
+        assert seen == list(range(100))
+        assert pushes == [0]
+        assert eng.events_executed == 100
+        assert eng.now == 99.0
+
+    def test_sink_sees_clock_and_count(self):
+        eng = Engine()
+        seen = []
+        eng.schedule_stream(
+            [(0.0, "a"), (1.0, "b"), (1.0, "c")],
+            lambda p: seen.append((p, eng.now, eng.events_executed,
+                                   eng.pending)),
+            start_at=2.0, speedup=2.0)
+        eng.run()
+        assert seen == [("a", 2.0, 0, 1), ("b", 2.5, 1, 1), ("c", 2.5, 2, 0)]
+
+    def test_raising_sink_leaves_rest_scheduled(self):
+        eng = Engine()
+        seen = []
+
+        def sink(p):
+            if p == 1:
+                raise RuntimeError("boom")
+            seen.append(p)
+
+        eng.schedule_stream([(float(i), i) for i in range(4)], sink)
+        with pytest.raises(RuntimeError):
+            eng.run()
+        assert (seen, eng.pending, eng.events_executed) == ([0], 1, 1)
+        eng.run()
+        assert seen == [0, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# differential oracle: random programs on both engines
+# ----------------------------------------------------------------------
+class Boom(Exception):
+    pass
+
+
+def execute(engine_cls, program):
+    """Run one generated program; return its execution log.
+
+    ``program`` is ``(ops, behaviors, budget)``: the top-level operations,
+    the action lists callbacks and stream sinks run when they fire
+    (indexed by behavior), and how many events the program may schedule in
+    total (callbacks scheduling callbacks would otherwise not end).
+    """
+    ops, behaviors, budget = program
+    eng = engine_cls()
+    log = []
+    handles = []
+    labels = iter(range(10**9))
+    left = [budget]
+
+    def note(tag):
+        log.append((tag, eng.now, eng.events_executed, eng.pending))
+
+    def fire(label, behavior):
+        note(label)
+        for action in behaviors[behavior]:
+            perform(action)
+
+    def sink(payload):
+        fire(*payload)
+
+    def perform(action):
+        kind = action[0]
+        if kind in ("sched", "sched_at"):
+            if left[0] <= 0:
+                return
+            left[0] -= 1
+            _, offset, prio, behavior = action
+            if kind == "sched":
+                handles.append(eng.schedule(offset, fire, next(labels),
+                                            behavior, priority=prio))
+            else:
+                handles.append(eng.schedule_at(eng.now + offset, fire,
+                                               next(labels), behavior,
+                                               priority=prio))
+        elif kind == "stream":
+            _, offset, speedup, prio, times, behavior = action
+            if left[0] < len(times):
+                return
+            left[0] -= len(times)
+            records = [(t, (next(labels), behavior)) for t in times]
+            handles.append(eng.schedule_stream(
+                records, sink, start_at=eng.now + offset, speedup=speedup,
+                priority=prio))
+        elif kind == "cancel":
+            if handles:
+                handles[action[1] % len(handles)].cancel()
+        elif kind == "stop":
+            eng.stop()
+        elif kind == "raise":
+            raise Boom(eng.events_executed)
+        elif kind == "step":
+            log.append(("step", eng.step()))
+        elif kind == "run":
+            _, until, max_events = action
+            log.append(("run", eng.run(
+                until=None if until is None else eng.now + until,
+                max_events=max_events)))
+        else:  # pragma: no cover - generator and interpreter disagree
+            raise AssertionError(kind)
+
+    def attempt(op):
+        try:
+            perform(op)
+        except Boom as exc:
+            log.append(("raised", exc.args[0]))
+        except SimulationError as exc:
+            log.append(("error", str(exc)))
+
+    for op in ops:
+        attempt(op)
+        note("after")
+    while eng.pending:  # drain what the program left, one step at a time
+        attempt(("step",))
+        note("drain")
+    return log
+
+
+TIMES = st.sampled_from((0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5))
+PRIORITIES = st.integers(-1, 1)
+SPEEDUPS = st.sampled_from((0.5, 1.0, 1.0, 2.0, 3.0))
+
+
+@st.composite
+def programs(draw, n_ops=12, n_behaviors=4, budget=40):
+    behavior = st.integers(0, n_behaviors - 1)
+    schedule = st.tuples(st.sampled_from(("sched", "sched_at")), TIMES,
+                         PRIORITIES, behavior)
+    stream = st.tuples(st.just("stream"), TIMES, SPEEDUPS, PRIORITIES,
+                       # out-of-order records break the stream's contract;
+                       # both engines must then fail the same way
+                       st.lists(TIMES, min_size=1, max_size=8).map(sorted)
+                       | st.lists(TIMES, min_size=2, max_size=4),
+                       behavior)
+    cancel = st.tuples(st.just("cancel"), st.integers(0, 50))
+    run = st.tuples(st.just("run"), st.one_of(st.none(), TIMES),
+                    st.one_of(st.none(), st.integers(0, 6)))
+    callback_action = st.one_of(
+        schedule, stream, cancel, st.just(("stop",)), st.just(("raise",)),
+        st.just(("step",)), run)
+    behaviors = draw(st.lists(st.lists(callback_action, max_size=3),
+                              min_size=n_behaviors, max_size=n_behaviors))
+    ops = draw(st.lists(st.one_of(schedule, stream, cancel, run,
+                                  st.just(("step",))),
+                        min_size=1, max_size=n_ops))
+    return ops, behaviors, budget
+
+
+def assert_same_as_reference(program):
+    assert (execute(Engine, program)
+            == execute(engine_reference.Engine, program))
+
+
+class TestReferenceEngine:
+    """The tuple-heap engine with its inline replay cursor must produce the
+    execution log of the event-object heap engine it replaced."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(program=programs())
+    def test_same_log_as_reference(self, program):
+        assert_same_as_reference(program)
+
+    def test_cancelled_head_runs_next_event_past_until(self):
+        # run() checks `until` against the heap head only, so a live
+        # event behind a cancelled head runs even past `until`
+        program = ([("sched", 1.0, 0, 0), ("sched", 5.0, 0, 0),
+                    ("cancel", 0), ("run", 2.0, None)], [[]], 10)
+        assert_same_as_reference(program)
+        assert ("after", 5.0, 1, 0) in execute(Engine, program)
+
+
+@pytest.mark.slow
+class TestReferenceEngineDeep:
+    """The long lane: larger programs against the reference engine (CI's
+    -m slow lane)."""
+
+    @settings(max_examples=1500, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(program=programs(n_ops=30, n_behaviors=6, budget=150))
+    def test_same_log_as_reference_deep(self, program):
+        assert_same_as_reference(program)
