@@ -291,11 +291,15 @@ class DynamicBalancer(LoadBalancer):
         # Least backlog first, quantized into 10 ms buckets: once sensors
         # saturate, their backlogs all pin near the queue bound and stop
         # reflecting true load, so within a bucket the least-assigned sensor
-        # wins and saturation still spreads evenly.
-        sensor = min(self.sensors,
-                     key=lambda s: (not s.up,
-                                    int(max(s._busy_until - now, 0.0) / 0.01),
-                                    self.per_sensor_count[s.name]))
+        # wins and saturation still spreads evenly.  Down sensors sort last;
+        # a full tie keeps the first sensor in list order.
+        counts = self.per_sensor_count
+        sensor = best = None
+        for s in self.sensors:
+            rank = (not s.up, int(max(s._busy_until - now, 0.0) / 0.01),
+                    counts[s.name])
+            if best is None or rank < best:
+                sensor, best = s, rank
         if len(self._assignment) >= self.max_flows:
             self._assignment.clear()  # cheap wholesale eviction
         self._assignment[key] = sensor

@@ -45,7 +45,10 @@ import heapq
 import mmap
 import os
 import struct
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
 
 from ..errors import TraceFormatError
 from ..sim.engine import Engine, EventHandle
@@ -104,6 +107,27 @@ class Trace:
         self._records.append(TimedPacket(time, packet))
         self._total_bytes = None
         self._attack_packets = None
+
+    @classmethod
+    def from_sorted(cls, times: np.ndarray, packets: Sequence[Packet],
+                    name: str = "trace") -> "Trace":
+        """A trace of ``zip(times, packets)``, built in one pass.
+
+        ``times`` must never decrease, as :meth:`append` requires; the
+        check runs once over the whole array instead of once per record.
+        """
+        times = np.asarray(times, dtype=float)
+        if len(times) != len(packets):
+            raise TraceFormatError(
+                f"{len(times)} times for {len(packets)} packets")
+        back = np.flatnonzero(times[1:] < times[:-1])
+        if back.size:
+            i = int(back[0])
+            raise TraceFormatError(
+                f"record at t={times[i + 1]} precedes previous t={times[i]}")
+        trace = cls(name)
+        trace._records = list(map(TimedPacket, times.tolist(), packets))
+        return trace
 
     def extend(self, records: Iterable[Tuple[float, Packet]]) -> None:
         for t, p in records:

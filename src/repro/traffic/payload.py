@@ -19,6 +19,9 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "HTTP_PATHS",
+    "HTTP_AGENTS",
+    "format_http_request",
     "http_request",
     "http_response",
     "smtp_exchange",
@@ -30,15 +33,16 @@ __all__ = [
     "shannon_entropy_prefix",
 ]
 
-_PATHS = [
+#: the request paths and user agents :func:`http_request` draws from
+HTTP_PATHS = (
     "/", "/index.html", "/images/logo.gif", "/cart", "/checkout",
     "/search", "/products/widget-17", "/api/status", "/login", "/css/site.css",
-]
-_AGENTS = [
+)
+HTTP_AGENTS = (
     "Mozilla/4.0 (compatible; MSIE 5.5; Windows NT 5.0)",
     "Mozilla/4.76 [en] (X11; U; Linux 2.4.2 i686)",
     "Lynx/2.8.4rel.1 libwww-FM/2.14",
-]
+)
 _WORDS = (
     "the order status page cart item widget total price ship confirm "
     "account user session token data value result list detail query"
@@ -52,10 +56,25 @@ def http_request(
     method: str = "GET",
     body: bytes = b"",
 ) -> bytes:
-    """A plausible HTTP/1.0 request."""
+    """A plausible HTTP/1.0 request: a path (unless given) and a user
+    agent drawn from :data:`HTTP_PATHS` and :data:`HTTP_AGENTS`, in that
+    order."""
     if path is None:
-        path = _PATHS[int(rng.integers(0, len(_PATHS)))]
-    agent = _AGENTS[int(rng.integers(0, len(_AGENTS)))]
+        path = HTTP_PATHS[int(rng.integers(0, len(HTTP_PATHS)))]
+    agent = HTTP_AGENTS[int(rng.integers(0, len(HTTP_AGENTS)))]
+    return format_http_request(path, agent, host=host, method=method,
+                               body=body)
+
+
+def format_http_request(
+    path: str,
+    agent: str,
+    host: str = "www.example.mil",
+    method: str = "GET",
+    body: bytes = b"",
+) -> bytes:
+    """The request :func:`http_request` emits for ``path`` and ``agent``;
+    draws nothing."""
     head = (
         f"{method} {path} HTTP/1.0\r\n"
         f"Host: {host}\r\n"

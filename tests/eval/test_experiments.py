@@ -56,6 +56,41 @@ class TestLoadTrace:
         with pytest.raises(MeasurementError):
             make_load_trace(rng, 10, 1.0, DST, payload_mode="weird")
 
+    @pytest.mark.parametrize("rate, duration", [
+        (math.nan, 1.0), (10.0, math.nan), (math.inf, 1.0), (10.0, math.inf),
+        (-math.inf, 1.0), (1e200, 1e200)])
+    def test_validation_non_finite(self, rate, duration):
+        with pytest.raises(MeasurementError, match="finite"):
+            make_load_trace(np.random.default_rng(1), rate, duration, DST)
+
+    @pytest.mark.parametrize("mode", ["http", "random", "logical"])
+    def test_validation_negative_payload_size(self, mode):
+        with pytest.raises(MeasurementError, match="payload_size"):
+            make_load_trace(np.random.default_rng(1), 10, 1.0, DST,
+                            payload_mode=mode, payload_size=-5)
+
+    @pytest.mark.parametrize("pool", [0, -3])
+    def test_validation_empty_src_pool(self, pool):
+        with pytest.raises(MeasurementError, match="src_pool"):
+            make_load_trace(np.random.default_rng(1), 10, 1.0, DST,
+                            src_pool=pool)
+
+    @pytest.mark.parametrize("mode", ["http", "random", "logical"])
+    @pytest.mark.parametrize("size", [0, 7, 108, 1500])
+    def test_exact_payload_size(self, mode, size):
+        trace = make_load_trace(np.random.default_rng(1), 100, 0.5, DST,
+                                payload_mode=mode, payload_size=size)
+        assert len(trace) == 50
+        for rec in trace:
+            assert rec.packet.payload_len == size
+            if mode != "logical":
+                assert len(rec.packet.payload) == size
+
+    def test_http_bodies_are_shared(self):
+        # 10 paths x 3 agents: packets share the distinct bodies
+        trace = make_load_trace(np.random.default_rng(1), 2000, 1.0, DST)
+        assert len({id(r.packet.payload) for r in trace}) <= 30
+
 
 class TestThroughput:
     def test_low_rate_zero_loss(self):

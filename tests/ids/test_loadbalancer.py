@@ -239,6 +239,49 @@ class TestDynamicBalancer:
         eng.run()
         assert lb.balance_evenness() > 0.9
 
+    @staticmethod
+    def _staged(states, now=1.0):
+        """A balancer at ``now`` whose sensors have the given ``(up,
+        backlog_s, assigned)`` states."""
+        eng = Engine(start_time=now)
+        sensors = make_sensors(eng, len(states))
+        lb = DynamicBalancer(eng, "lb", sensors)
+        for s, (up, backlog, assigned) in zip(sensors, states):
+            s.up = up
+            s._busy_until = now + backlog
+            lb.per_sensor_count[s.name] = assigned
+        return lb, sensors
+
+    def test_selection_order(self):
+        # down last, then the 10 ms backlog bucket, then the assignment
+        # count; a full tie keeps the first sensor in list order
+        cases = [
+            ([(True, 0.0, 0)] * 3, 0),
+            ([(True, 0.0, 1), (True, 0.0, 0), (True, 0.0, 0)], 1),
+            ([(True, 0.009, 0), (True, 0.001, 0)], 0),   # same bucket
+            ([(True, 0.011, 0), (True, 0.001, 5)], 1),   # lower bucket wins
+            ([(False, 0.0, 0), (True, 5.0, 99)], 1),     # down sorts last
+            ([(False, 0.0, 3), (False, 0.0, 1)], 1),     # all down: by count
+            ([(True, -3.0, 2), (True, 0.0, 2)], 0),      # idle clamps to 0
+        ]
+        for states, expected in cases:
+            lb, sensors = self._staged(states)
+            assert lb.select(pkt(sport=4000)) is sensors[expected], states
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.sampled_from([-1.0, 0.0, 0.004, 0.01,
+                                               0.015, 0.03, 2.0]),
+                              st.integers(0, 3)),
+                    min_size=1, max_size=6))
+    def test_same_choice_as_min_over_rank(self, states):
+        lb, sensors = self._staged(states)
+        now = lb.engine.now
+        expected = min(sensors, key=lambda s: (
+            not s.up, int(max(s._busy_until - now, 0.0) / 0.01),
+            lb.per_sensor_count[s.name]))
+        assert lb.select(pkt(sport=4000)) is expected
+
 
 class TestBalancerCapacity:
     def test_capacity_drops_excess(self):

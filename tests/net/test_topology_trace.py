@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +107,31 @@ class TestTrace:
         tr = self._sample_trace()
         with pytest.raises(TraceFormatError):
             tr.append(1.0, mk(IPv4Address(1), IPv4Address(2)))
+
+    def test_from_sorted_matches_append(self):
+        ref = self._sample_trace()
+        tr = Trace.from_sorted(np.array([r.time for r in ref]),
+                               [r.packet for r in ref], name="sample")
+        assert tr.name == "sample"
+        assert list(tr) == list(ref)
+        assert all(type(r.time) is float for r in tr)
+        assert len(Trace.from_sorted(np.array([]), [])) == 0
+
+    def test_from_sorted_enforces_time_order(self):
+        a, b = IPv4Address(1), IPv4Address(2)
+        with pytest.raises(TraceFormatError, match="t=0.5 precedes .* t=1.0"):
+            Trace.from_sorted(np.array([0.0, 1.0, 0.5, 0.2]),
+                              [mk(a, b) for _ in range(4)])
+        # ties are fine, as for append
+        assert len(Trace.from_sorted(np.array([1.0, 1.0]),
+                                     [mk(a, b), mk(b, a)])) == 2
+
+    def test_from_sorted_needs_one_packet_per_time(self):
+        a, b = IPv4Address(1), IPv4Address(2)
+        for n in (1, 3):
+            with pytest.raises(TraceFormatError, match="2 times"):
+                Trace.from_sorted(np.array([0.0, 1.0]),
+                                  [mk(a, b) for _ in range(n)])
 
     def test_basic_stats(self):
         tr = self._sample_trace()
