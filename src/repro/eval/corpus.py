@@ -30,7 +30,11 @@ derived independently per name, so skipping a generation never shifts
 another stream.
 
 Treat returned traces as read-only: within a scope, every product
-replays the same objects.
+replays the same objects.  The same holds for what is learned from them:
+:func:`corpus_baselines` keeps, per warmup, the anomaly baselines learned
+from it, so within a scope each is learned once and every later deployment
+on that warmup (the Figure-4 sweep points, a product's repeated runs)
+adopts it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
     "serving",
     "corpus_trace",
     "corpus_scenario",
+    "corpus_baselines",
 ]
 
 T = TypeVar("T")
@@ -202,3 +207,11 @@ def corpus_scenario(kind: str, token: Fields,
                     build: Callable[[], Scenario]) -> Scenario:
     """Retained scenario generation; plain ``build()`` outside a scope."""
     return _retained(kind, token, build)
+
+
+def corpus_baselines(token: Fields) -> Dict:
+    """The anomaly baselines learned from the warmup trace named by
+    ``token``, keyed by ``window_s``, for ``IdsPipeline.train_on`` to read
+    and fill: one map per scope and warmup, a fresh one outside a
+    scope."""
+    return _retained("baselines", token, dict)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ids.alert import Alert
-from ..net.flow import FlowKey
 from ..net.trace import Trace
 from ..traffic.mixer import Scenario
 
@@ -35,11 +34,7 @@ __all__ = ["count_transactions", "AccuracyResult", "score_alerts"]
 
 def count_transactions(scenario: Scenario) -> int:
     """``|T|``: benign flows plus attack instances in a scenario."""
-    benign_flows: Set[FlowKey] = set()
-    for t, pkt in scenario.trace:
-        if pkt.attack_id is None:
-            benign_flows.add(FlowKey.of(pkt))
-    return len(benign_flows) + len(scenario.attacks)
+    return scenario.trace.benign_flow_count() + len(scenario.attacks)
 
 
 @dataclass

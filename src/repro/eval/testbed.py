@@ -5,6 +5,8 @@ Figure-1 network, deploys the product, optionally trains anomaly baselines
 on a benign warmup generated from the same site profile ("the best way to
 evaluate any IDS is to use real traffic ... from the site where the IDS is
 expected to be deployed", section 4), then replays the labeled scenario.
+Within a retention scope (:func:`repro.eval.corpus.serving`) each warmup's
+baselines are learned once and adopted by every later testbed on it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
 from ..traffic.mixer import Scenario, ScenarioBuilder
 from ..traffic.profiles import ClusterProfile, EcommerceProfile
-from .corpus import corpus_scenario, corpus_trace
+from .corpus import corpus_baselines, corpus_scenario, corpus_trace
 from .ground_truth import AccuracyResult, score_alerts
 
 __all__ = ["EvalTestbed", "cluster_scenario", "ecommerce_scenario",
@@ -132,7 +134,7 @@ class EvalTestbed:
                 "warmup", token,
                 lambda: self._background_trace(train_duration_s,
                                                self._rng.stream("warmup")))
-            self.deployment.train_on(warmup)
+            self.deployment.train_on(warmup, corpus_baselines(token))
         self.deployment.freeze()
 
     def _background_trace(self, duration_s, rng):

@@ -34,22 +34,33 @@ Scoring
 :meth:`AnomalyEngine.inspect` memoizes the payload-derived features (prefix
 entropy, application token) on the packet itself, so a battery that runs
 several detectors over the same trace pays for them once, and looks the
-``(proto, port)`` service up as a small int key in tables that
-:meth:`AnomalyEngine.freeze` builds from the trained baseline.
+``(proto, port)`` service up as a small int key in the tables of the
+engine's :class:`AnomalyBaseline`.
+
+Shared baselines
+----------------
+:meth:`AnomalyEngine.freeze` turns what training saw into a read-only
+:class:`AnomalyBaseline`.  Training reads the packets and ``window_s``,
+never the sensitivity, so engines with the same ``window_s`` trained on the
+same trace learn equal baselines: one engine can train and freeze, and the
+others :meth:`~AnomalyEngine.adopt` its baseline.  Sensitivity and all live
+state (rate bins, fan-out windows, counters) stay per engine.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Set, Tuple)
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet, Protocol, TcpFlags
 from ..traffic.payload import shannon_entropy_prefix
 from .alert import Severity
 
-__all__ = ["AnomalyEngine", "AnomalyScore"]
+__all__ = ["AnomalyBaseline", "AnomalyEngine", "AnomalyScore"]
 
 _ENTROPY_SAMPLE = 256  # bytes of payload fed to the entropy estimator
 
@@ -135,11 +146,38 @@ class _ServiceStats:
         return max(math.sqrt(self.m2 / (self.n - 1)), 0.05)
 
 
+class AnomalyBaseline(NamedTuple):
+    """A frozen training result, as the tables :meth:`AnomalyEngine.inspect`
+    reads.
+
+    Services are int keys ``proto_id << 16 | server_port``; the mappings
+    are read-only views and the token sets frozen, so engines that adopt
+    one baseline can share it.  ``(mean, std)`` pairs are the exact float
+    values of the training statistics.
+    """
+
+    #: the fan-out window the baseline was learned with
+    window_s: float
+    #: every service seen in training
+    services: FrozenSet[int]
+    #: service -> entropy ``(mean, std)``, for services with >= 8 samples
+    entropy: Mapping[int, Tuple[float, float]]
+    #: service -> application tokens seen on it
+    tokens: Mapping[int, FrozenSet[bytes]]
+    #: ICMP payload size ``(mean, std)``, or None below 8 samples
+    icmp: Optional[Tuple[float, float]]
+    #: trained per-source maximum packets per 1 s bin (at least 1.0)
+    max_src_rate: float
+    #: trained per-source maximum distinct ports per window (at least 1)
+    max_fanout: int
+
+
 class AnomalyEngine:
     """Baseline-learning behavioural detector.
 
     Usage: feed benign traffic through :meth:`train`, call :meth:`freeze`,
-    then :meth:`inspect` live packets.
+    then :meth:`inspect` live packets; or :meth:`adopt` the baseline
+    another engine froze.
     """
 
     def __init__(self, sensitivity: float = 0.5,
@@ -148,28 +186,19 @@ class AnomalyEngine:
             raise ConfigurationError("window_s must be positive")
         self.sensitivity = sensitivity
         self.window_s = float(window_s)
-        self.trained = False
         self.packets_inspected = 0
         self.detections = 0
 
-        # --- learned baseline ---
+        # --- training state ---
         self._services: Set[Tuple[Protocol, int]] = set()
         self._entropy: Dict[Tuple[Protocol, int], _ServiceStats] = {}
         self._tokens: Dict[Tuple[Protocol, int], Set[bytes]] = {}
         self._icmp_sizes = _ServiceStats()
-        self._max_src_rate = 0.0  # packets/s per source, trained maximum
-        self._max_fanout = 0      # distinct ports per source per window
         self._train_bins: Dict[Tuple[int, int], int] = {}
         self._train_fanout: Dict[Tuple[int, int], Set[int]] = {}
 
-        # --- scoring tables (built by freeze(); int service keys
-        # ``proto_id << 16 | server_port``) ---
-        self._services_ik: Set[int] = set()
-        self._entropy_ik: Dict[int, Tuple[float, float]] = {}
-        self._tokens_ik: Dict[int, Set[bytes]] = {}
-        self._icmp_params: Optional[Tuple[float, float]] = None
-        self._rate_den = 1.0
-        self._fan_den = 1
+        #: the frozen baseline (set by freeze() or adopt())
+        self.baseline: Optional[AnomalyBaseline] = None
 
         # --- live state ---
         self._live_bins: Dict[int, list] = {}     # src -> [bin_idx, count]
@@ -185,6 +214,11 @@ class AnomalyEngine:
         if not 0.0 <= value <= 1.0:
             raise ConfigurationError("sensitivity must be in [0, 1]")
         self._sensitivity = float(value)
+
+    @property
+    def trained(self) -> bool:
+        """Whether the engine is frozen on a baseline."""
+        return self.baseline is not None
 
     @property
     def threshold(self) -> float:
@@ -232,50 +266,56 @@ class AnomalyEngine:
         fo_key = (pkt.src.value, int(now // self.window_s))
         self._train_fanout.setdefault(fo_key, set()).add(pkt.dport)
 
-    def freeze(self) -> None:
-        """Finish training; derive the per-source rate/fan-out envelopes."""
-        if self._train_bins:
-            self._max_src_rate = float(max(self._train_bins.values()))
-        else:
-            self._max_src_rate = 1.0
-        if self._train_fanout:
-            self._max_fanout = max(len(s) for s in self._train_fanout.values())
-        else:
-            self._max_fanout = 1
-        self._train_bins.clear()
-        self._train_fanout.clear()
-        self.trained = True
-        self._build_tables()
-
-    def _build_tables(self) -> None:
-        """Intern service keys as ints and hoist per-packet constants.
-
-        ``(mean, std)`` pairs are the exact float values of the
-        ``_ServiceStats`` properties; hoisting them out of the hot loop
-        changes no arithmetic.
-        """
-        self._services_ik = {
-            (proto.proto_id << 16) | port
-            for proto, port in self._services}
-        self._entropy_ik = {
+    def freeze(self) -> AnomalyBaseline:
+        """Finish training: derive the baseline from what :meth:`train`
+        saw (per-source rate/fan-out envelopes of 1 when it saw nothing),
+        adopt it and return it.  A frozen engine keeps its baseline."""
+        if self.baseline is not None:
+            return self.baseline
+        services = frozenset(
+            (proto.proto_id << 16) | port for proto, port in self._services)
+        entropy = {
             (proto.proto_id << 16) | port: (stats.mean, stats.std)
             for (proto, port), stats in self._entropy.items()
             if stats.n >= 8}
-        self._tokens_ik = {
-            (proto.proto_id << 16) | port: tokens
-            for (proto, port), tokens in self._tokens.items()}
-        self._icmp_params = (
-            (self._icmp_sizes.mean, self._icmp_sizes.std)
-            if self._icmp_sizes.n >= 8 else None)
-        self._rate_den = max(self._max_src_rate, 1.0)
-        self._fan_den = max(self._max_fanout, 1)
+        tokens = {
+            (proto.proto_id << 16) | port: frozenset(seen)
+            for (proto, port), seen in self._tokens.items()}
+        icmp = ((self._icmp_sizes.mean, self._icmp_sizes.std)
+                if self._icmp_sizes.n >= 8 else None)
+        max_src_rate = (float(max(self._train_bins.values()))
+                        if self._train_bins else 1.0)
+        max_fanout = (max(len(s) for s in self._train_fanout.values())
+                      if self._train_fanout else 1)
+        baseline = AnomalyBaseline(
+            self.window_s, services, MappingProxyType(entropy),
+            MappingProxyType(tokens), icmp, max_src_rate, max_fanout)
+        self._train_bins.clear()
+        self._train_fanout.clear()
+        self.adopt(baseline)
+        return baseline
+
+    def adopt(self, baseline: AnomalyBaseline) -> None:
+        """Freeze on a baseline learned elsewhere with the same
+        ``window_s``; the engine must not have trained itself."""
+        if self.trained:
+            raise ConfigurationError("engine already frozen")
+        if self._train_bins:
+            raise ConfigurationError(
+                "engine has training data of its own; freeze() it instead")
+        if baseline.window_s != self.window_s:
+            raise ConfigurationError(
+                f"baseline learned with window_s={baseline.window_s}, "
+                f"engine uses {self.window_s}")
+        self.baseline = baseline
 
     # ------------------------------------------------------------------
     # detection
     # ------------------------------------------------------------------
     def inspect(self, pkt: Packet, now: float) -> List[AnomalyScore]:
         """Score one packet; returns the features above threshold."""
-        if not self.trained:
+        base = self.baseline
+        if base is None:
             raise ConfigurationError("AnomalyEngine.inspect before freeze()")
         self.packets_inspected += 1
         scores: List[AnomalyScore] = []
@@ -289,7 +329,7 @@ class AnomalyEngine:
             live = [bin_idx, 0]
             self._live_bins[src] = live
         live[1] += 1
-        ratio = live[1] / self._rate_den
+        ratio = live[1] / base.max_src_rate
         if ratio > 1.0:
             s = _logistic(math.log2(ratio), midpoint=2.0, steepness=1.6)
             if s > t:
@@ -302,8 +342,9 @@ class AnomalyEngine:
             self._live_fanout[src] = fo
         fo[1].add(pkt.dport)
         fan = len(fo[1])
-        if fan > self._max_fanout:
-            s = _logistic(math.log2(fan / self._fan_den),
+        max_fanout = base.max_fanout
+        if fan > max_fanout:
+            s = _logistic(math.log2(fan / max_fanout),
                           midpoint=1.5, steepness=1.8)
             if s > t:
                 scores.append(AnomalyScore(("fanout", s)))
@@ -317,7 +358,7 @@ class AnomalyEngine:
             dport = pkt.dport
             port = sport if sport < dport else dport
         ik = (proto_id << 16) | port
-        if ik not in self._services_ik:
+        if ik not in base.services:
             fb = pkt.flag_bits
             if (proto_id != _TCP_ID
                     or (fb & _SYN_BIT and not fb & _ACK_BIT)):
@@ -328,7 +369,7 @@ class AnomalyEngine:
         # payload entropy deviation
         payload = pkt.payload
         if payload is not None and len(payload) >= 32:
-            params = self._entropy_ik.get(ik)
+            params = base.entropy.get(ik)
             if params is not None:
                 h = pkt._h256
                 if h is None:
@@ -340,7 +381,7 @@ class AnomalyEngine:
                     scores.append(AnomalyScore(("entropy", s)))
 
         # ICMP payload size
-        params = self._icmp_params
+        params = base.icmp
         if proto_id == _ICMP_ID and params is not None:
             z = abs(pkt._payload_len - params[0]) / params[1]
             s = _logistic(z, midpoint=6.0, steepness=0.7)
@@ -348,7 +389,7 @@ class AnomalyEngine:
                 scores.append(AnomalyScore(("icmp-size", s)))
 
         # token novelty on known services
-        known = self._tokens_ik.get(ik)
+        known = base.tokens.get(ik)
         if known is not None and 0.7 > t:
             token = pkt._tok
             if token is False:

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from ..errors import ConfigurationError
 from ..net.packet import Packet
 from .alert import Severity
-from .anomaly import AnomalyEngine
+from .anomaly import AnomalyBaseline, AnomalyEngine
 from .sensor import AnomalyDetector, SignatureDetector
 
 __all__ = ["HybridDetector"]
@@ -60,11 +60,18 @@ class HybridDetector:
         self.anomaly.sensitivity = value
 
     # training passthrough (the anomaly half needs a baseline)
+    @property
+    def window_s(self) -> float:
+        return self.anomaly.window_s
+
     def train(self, pkt: Packet, now: float) -> None:
         self.anomaly.train(pkt, now)
 
-    def freeze(self) -> None:
-        self.anomaly.freeze()
+    def freeze(self) -> AnomalyBaseline:
+        return self.anomaly.freeze()
+
+    def adopt(self, baseline: AnomalyBaseline) -> None:
+        self.anomaly.adopt(baseline)
 
     def process(self, pkt: Packet, now: float) -> List[Tuple[str, Severity, float, str]]:
         sig_hits = self.signature.process(pkt, now)

@@ -17,7 +17,7 @@ Sensing/analysis separation (the A2 ablation) is a wiring property:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CardinalityError, ConfigurationError
 from ..net.packet import Packet
@@ -25,6 +25,7 @@ from ..net.trace import Trace
 from ..sim.engine import Engine
 from .alert import Detection
 from .analyzer import Analyzer
+from .anomaly import AnomalyBaseline
 from .component import Component, validate_wiring
 from .console import ManagementConsole
 from .loadbalancer import LoadBalancer
@@ -170,17 +171,38 @@ class IdsPipeline:
     # ------------------------------------------------------------------
     # training passthrough (anomaly-capable detectors)
     # ------------------------------------------------------------------
-    def train_on(self, trace: Trace) -> int:
-        """Feed a benign trace to every trainable detector; returns how
-        many detectors were trained.  Call :meth:`freeze` afterwards."""
-        trainable = [s.detector for s in self.sensors
-                     if hasattr(s.detector, "train")]
-        for t, pkt in trace:
-            for det in trainable:
-                det.train(pkt, t)
-        return len(trainable)
+    def train_on(self, trace: Trace,
+                 baselines: Optional[Dict[float, AnomalyBaseline]] = None,
+                 ) -> int:
+        """Learn every trainable detector's baseline from a benign trace
+        and freeze the detector; returns how many detectors trained.
+
+        Training reads the packets and ``window_s``, never sensitivity, so
+        detectors with one ``window_s`` learn equal baselines from one
+        trace: the first trains and freezes, the rest adopt its baseline.
+        ``baselines`` maps ``window_s`` to a baseline already learned from
+        ``trace`` and gains each one learned here; an evaluation keeps one
+        such map per warmup for the life of its retention scope."""
+        if baselines is None:
+            baselines = {}
+        trained = 0
+        for sensor in self.sensors:
+            det = sensor.detector
+            if not hasattr(det, "train"):
+                continue
+            baseline = baselines.get(det.window_s)
+            if baseline is None:
+                for t, pkt in trace:
+                    det.train(pkt, t)
+                baselines[det.window_s] = det.freeze()
+                trained += 1
+            else:
+                det.adopt(baseline)
+        return trained
 
     def freeze(self) -> None:
+        """Freeze every detector that has no baseline yet on what it
+        learned (per-source envelopes of 1 when it saw nothing)."""
         for sensor in self.sensors:
             if hasattr(sensor.detector, "freeze"):
                 sensor.detector.freeze()

@@ -33,7 +33,7 @@ from ..net.packet import Packet
 from ..sim.engine import Engine
 from ..sim.stats import RateMeter
 from .alert import Detection, Severity
-from .anomaly import AnomalyEngine
+from .anomaly import AnomalyBaseline, AnomalyEngine
 from .component import Component, Subprocess
 from .signature import SignatureEngine
 
@@ -122,11 +122,19 @@ class AnomalyDetector:
     def sensitivity(self, value: float) -> None:
         self.engine.sensitivity = value
 
+    @property
+    def window_s(self) -> float:
+        """The one training parameter besides the packets."""
+        return self.engine.window_s
+
     def train(self, pkt: Packet, now: float) -> None:
         self.engine.train(pkt, now)
 
-    def freeze(self) -> None:
-        self.engine.freeze()
+    def freeze(self) -> AnomalyBaseline:
+        return self.engine.freeze()
+
+    def adopt(self, baseline: AnomalyBaseline) -> None:
+        self.engine.adopt(baseline)
 
     def process(self, pkt: Packet, now: float):
         out = []

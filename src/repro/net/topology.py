@@ -2,16 +2,12 @@
 
 :class:`LanTestbed` assembles the Figure-1 deployment: an Internet ingress,
 a border router, a switch fronting a protected subnet of hosts, and an
-optional SPAN mirror point where a passive IDS can tap the traffic.  The
-graph structure is also exported as a :mod:`networkx` graph for structural
-queries (used by tests and the architecture figure).
+optional SPAN mirror point where a passive IDS can tap the traffic.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
-
-import networkx as nx
 
 from ..errors import ConfigurationError
 from ..sim.engine import Engine
@@ -119,30 +115,6 @@ class LanTestbed:
     def inject_on_lan(self, pkt: Packet) -> None:
         """Deliver a packet originating inside the LAN to the switch."""
         self.switch.receive(pkt)
-
-    # ------------------------------------------------------------------
-    def graph(self) -> nx.DiGraph:
-        """Structural graph of the testbed (nodes + directed links)."""
-        g = nx.DiGraph()
-        g.add_node("internet", kind="internet")
-        g.add_node(self.router.name, kind="router")
-        g.add_node(self.switch.name, kind="switch")
-        g.add_edge("internet", self.router.name)
-        g.add_edge(self.router.name, self.switch.name,
-                   bandwidth=self.router_switch.bandwidth_bps)
-        g.add_edge(self.switch.name, self.router.name,
-                   bandwidth=self.switch_router.bandwidth_bps)
-        g.add_edge(self.router.name, "internet",
-                   bandwidth=self.wan_egress.bandwidth_bps)
-        for host in self.hosts:
-            g.add_node(host.name, kind="host", address=str(host.address))
-            g.add_edge(self.switch.name, host.name)
-            g.add_edge(host.name, self.switch.name)
-        for i, span in enumerate(self._span_links):
-            tap = f"span{i}"
-            g.add_node(tap, kind="span")
-            g.add_edge(self.switch.name, tap, bandwidth=span.bandwidth_bps)
-        return g
 
     @property
     def total_dropped_packets(self) -> int:

@@ -53,6 +53,7 @@ import numpy as np
 from ..errors import TraceFormatError
 from ..sim.engine import Engine, EventHandle
 from .address import IPv4Address
+from .flow import FlowKey
 from .packet import Packet, Protocol, TcpFlags
 
 __all__ = ["TimedPacket", "Trace", "TraceRecorder"]
@@ -95,6 +96,7 @@ class Trace:
         # cached aggregate sweeps; invalidated by append()
         self._total_bytes: Optional[int] = None
         self._attack_packets: Optional[int] = None
+        self._benign_flows: Optional[int] = None
 
     # ------------------------------------------------------------------
     # building
@@ -107,6 +109,7 @@ class Trace:
         self._records.append(TimedPacket(time, packet))
         self._total_bytes = None
         self._attack_packets = None
+        self._benign_flows = None
 
     @classmethod
     def from_sorted(cls, times: np.ndarray, packets: Sequence[Packet],
@@ -176,6 +179,14 @@ class Trace:
             self._attack_packets = sum(
                 1 for r in self._records if r.packet.attack_id)
         return self._attack_packets
+
+    def benign_flow_count(self) -> int:
+        """Distinct :class:`FlowKey` flows among the benign packets."""
+        if self._benign_flows is None:
+            self._benign_flows = len({
+                FlowKey.of(r.packet) for r in self._records
+                if r.packet.attack_id is None})
+        return self._benign_flows
 
     # ------------------------------------------------------------------
     # serialization

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..ids.anomaly import AnomalyBaseline
 from ..ids.console import ManagementConsole
 from ..ids.host import HostAgent
 from ..ids.monitor import Monitor
@@ -221,9 +222,13 @@ class Deployment:
             if agent is not None and not agent.migrated:
                 agent.host.receive(pkt)
 
-    def train_on(self, trace: Trace) -> None:
+    def train_on(self, trace: Trace,
+                 baselines: Optional[Dict[float, AnomalyBaseline]] = None,
+                 ) -> None:
+        """Train and freeze the pipeline's detectors on a benign trace
+        (see :meth:`IdsPipeline.train_on` for ``baselines``)."""
         if self.pipeline is not None:
-            self.pipeline.train_on(trace)
+            self.pipeline.train_on(trace, baselines)
 
     def freeze(self) -> None:
         if self.pipeline is not None:

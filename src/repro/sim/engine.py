@@ -25,9 +25,8 @@ __all__ = ["Engine", "EventHandle"]
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _INF = float("inf")
-#: A popped entry lies in the past only after ``run(until=...,
-#: max_events=...)`` stopped on the event count and still moved the clock
-#: to ``until``.
+#: A popped entry lies in the past only when a stream's records break
+#: their non-decreasing time order.
 _IN_THE_PAST = "event heap yielded an event in the past"
 
 
@@ -309,9 +308,12 @@ class Engine:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run`` calls
-        compose like wall-clock intervals.  ``until`` is compared with the
-        head of the heap before each event; lazily cancelled entries behind
-        that check are skipped together with it.
+        compose like wall-clock intervals.  ``until`` bounds every event
+        that runs: a lazily cancelled head is discarded only after the
+        ``until`` check, and the next live entry is checked in turn.  A run
+        that stops on ``max_events`` while a live event at or before
+        ``until`` remains leaves the clock at its last event, so the next
+        run picks up from there.
 
         Returns the simulation time when the run stopped.
         """
@@ -323,17 +325,20 @@ class Engine:
         limit = _INF if until is None else until
         budget = _INF if max_events is None else max_events
         executed = 0
+        counted_out = False
         try:
             while heap and not self._stopped:
-                if heap[0][0] > limit or executed >= budget:
+                head = heap[0]
+                if head[0] > limit:
+                    break
+                handle = head[3]
+                if handle.cancelled:
+                    _heappop(heap)
+                    continue
+                if executed >= budget:
+                    counted_out = True
                     break
                 entry = _heappop(heap)
-                handle = entry[3]
-                if handle.cancelled:
-                    entry = self._pop_live()
-                    if entry is None:
-                        break
-                    handle = entry[3]
                 if entry[0] < self.now:
                     raise SimulationError(_IN_THE_PAST)
                 self.now = entry[0]
@@ -346,7 +351,8 @@ class Engine:
                     fn(*args)
                     self.events_executed += 1
                     executed += 1
-            if until is not None and not self._stopped and self.now < until:
+            if (until is not None and not self._stopped and not counted_out
+                    and self.now < until):
                 self.now = float(until)
         finally:
             self._running = False

@@ -159,3 +159,28 @@ def test_attacks_each_count_as_one_transaction(specs, n_attacks):
                             duration_s=base.duration_s, seed=0)
     assert (count_transactions(with_attacks) ==
             count_transactions(base) + n_attacks)
+
+
+@given(st.lists(flow_specs, max_size=8), st.lists(flow_specs, min_size=1,
+                                                   max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_append_after_counting_recounts_transactions(base, extra):
+    # the trace caches its benign-flow count; append must invalidate it
+    scenario = benign_scenario(base)
+    before = count_transactions(scenario)
+    t = float(len(base))
+    for si, di, sport, dport in extra:
+        scenario.trace.append(t, Packet(NODES[si], NODES[di], sport=sport,
+                                        dport=dport, proto=Protocol.TCP,
+                                        payload_len=64))
+    assert (count_transactions(scenario)
+            == count_transactions(benign_scenario(base + extra)))
+
+
+def test_append_of_new_flow_after_counting_changes_count():
+    scenario = benign_scenario([(0, 1, 1024, 22)])
+    assert count_transactions(scenario) == 1
+    scenario.trace.append(5.0, Packet(NODES[2], NODES[3], sport=1025,
+                                      dport=80, proto=Protocol.TCP,
+                                      payload_len=64))
+    assert count_transactions(scenario) == 2

@@ -308,9 +308,9 @@ class TrippingProduct(AafidProduct):
         dep.trained = False
         train_on, ingest = dep.train_on, dep.ingest
 
-        def trained_on(trace):
+        def trained_on(trace, *args):
             dep.trained = True
-            train_on(trace)
+            train_on(trace, *args)
 
         def ingest_or_trip(pkt):
             if not dep.trained and dep.ingested >= 150:

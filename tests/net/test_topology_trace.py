@@ -77,16 +77,26 @@ class TestLanTestbed:
         eng.run()
         assert got == []
 
-    def test_graph_structure(self):
+    def test_links_wire_the_figure1_structure(self):
         tb = LanTestbed(Engine(), n_hosts=3)
-        tb.add_span_tap(lambda p: None)
-        g = tb.graph()
-        assert g.has_edge("internet", "border")
-        assert g.has_edge("border", "switch")
-        hosts = [n for n, d in g.nodes(data=True) if d.get("kind") == "host"]
-        assert len(hosts) == 3
-        spans = [n for n, d in g.nodes(data=True) if d.get("kind") == "span"]
-        assert spans == ["span0"]
+        span = tb.add_span_tap(lambda p: None)
+        # router <-> switch, and the router's WAN egress
+        assert tb.router.lan_side is tb.router_switch
+        assert tb.router_switch.sink == tb.switch.receive
+        assert tb.switch.default_route is tb.switch_router
+        assert tb.switch_router.sink == tb.router.receive_from_lan
+        assert tb.router.wan_side is tb.wan_egress
+        # one down/up link pair per host
+        assert len(tb.switch._table) == 3
+        for host in tb.hosts:
+            down = tb.switch._table[host.address.value]
+            assert down.sink == host.receive
+            assert down.name == f"switch->{host.name}"
+            assert host.uplink.sink == tb.switch.receive
+            assert host.uplink.name == f"{host.name}->switch"
+        # the span-link list
+        assert tb._span_links == [span]
+        assert tb.switch._span == [span]
 
     def test_bad_host_count(self):
         with pytest.raises(ConfigurationError):

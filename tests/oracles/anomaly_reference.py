@@ -74,6 +74,16 @@ class ReferenceAnomalyEngine(AnomalyEngine):
         fo_key = (pkt.src.value, int(now // self.window_s))
         self._train_fanout.setdefault(fo_key, set()).add(pkt.dport)
 
+    def freeze(self):
+        # the per-source envelopes, kept as attributes the way the engine
+        # kept them before freeze() returned an AnomalyBaseline
+        if not self.trained:
+            self._max_src_rate = (float(max(self._train_bins.values()))
+                                  if self._train_bins else 1.0)
+            self._max_fanout = (max(len(s) for s in self._train_fanout.values())
+                                if self._train_fanout else 1)
+        return super().freeze()
+
     def inspect(self, pkt: Packet, now: float) -> List[AnomalyScore]:
         if not self.trained:
             raise ConfigurationError("AnomalyEngine.inspect before freeze()")

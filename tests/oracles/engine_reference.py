@@ -7,8 +7,13 @@ python-level ``__lt__``, and a stream cursor pushes and pops itself once
 per record.  ``tests/sim/test_engine.py`` runs random programs on it and on
 :class:`repro.sim.engine.Engine` and requires the same execution log and
 the same ``now``, ``events_executed`` and ``pending`` after every call.
-Only the module docstring and the import of the error types differ from
-the original.
+Besides the module docstring and the import of the error types, only
+:meth:`Engine.run` differs from the original, by two deliberate contract
+fixes made together with the production engine: ``until`` bounds every
+event that runs (a cancelled head no longer lets the live event behind it
+run past ``until``), and a run that stops on ``max_events`` while a live
+event at or before ``until`` remains leaves the clock at its last event
+instead of moving it to ``until``.
 """
 
 from __future__ import annotations
@@ -239,7 +244,9 @@ class Engine:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run`` calls
-        compose like wall-clock intervals.
+        compose like wall-clock intervals.  ``until`` bounds every event
+        that runs, and a run that stops on ``max_events`` while a live event
+        at or before ``until`` remains leaves the clock at its last event.
 
         Returns the simulation time when the run stopped.
         """
@@ -248,15 +255,22 @@ class Engine:
         self._running = True
         self._stopped = False
         executed = 0
+        counted_out = False
         try:
             while self._heap and not self._stopped:
-                if until is not None and self._heap[0].time > until:
+                head = self._heap[0]
+                if until is not None and head.time > until:
                     break
+                if head.cancelled:
+                    heapq.heappop(self._heap)
+                    continue
                 if max_events is not None and executed >= max_events:
+                    counted_out = True
                     break
                 if self.step():
                     executed += 1
-            if until is not None and not self._stopped and self._now < until:
+            if (until is not None and not self._stopped and not counted_out
+                    and self._now < until):
                 self._now = float(until)
         finally:
             self._running = False

@@ -123,6 +123,34 @@ class TestRunControl:
         eng.run(max_events=3)
         assert seen == [0, 1, 2]
 
+    def test_until_bounds_event_behind_cancelled_head(self):
+        eng = Engine()
+        seen = []
+        eng.schedule(1.0, seen.append, "cancelled").cancel()
+        eng.schedule(5.0, seen.append, "live")
+        assert eng.run(until=2.0) == 2.0
+        assert seen == []
+        assert eng.pending == 1
+        assert eng.run() == 5.0
+        assert seen == ["live"]
+
+    def test_max_events_stop_keeps_clock_before_until(self):
+        eng = Engine()
+        seen = []
+        eng.schedule(1.0, seen.append, "a")
+        eng.schedule(1.5, seen.append, "b")
+        assert eng.run(until=3.0, max_events=1) == 1.0
+        assert seen == ["a"]
+        assert eng.run() == 1.5
+        assert seen == ["a", "b"]
+
+    def test_max_events_stop_after_last_event_reaches_until(self):
+        eng = Engine()
+        eng.schedule(1.0, lambda: None)
+        eng.schedule(4.0, lambda: None)
+        assert eng.run(until=3.0, max_events=1) == 3.0
+        assert eng.run() == 4.0
+
     def test_stop_from_callback(self):
         eng = Engine()
         seen = []
@@ -393,13 +421,14 @@ class TestReferenceEngine:
     def test_same_log_as_reference(self, program):
         assert_same_as_reference(program)
 
-    def test_cancelled_head_runs_next_event_past_until(self):
-        # run() checks `until` against the heap head only, so a live
-        # event behind a cancelled head runs even past `until`
+    def test_cancelled_head_does_not_run_next_event_past_until(self):
+        # `until` bounds the live event behind a lazily cancelled head
         program = ([("sched", 1.0, 0, 0), ("sched", 5.0, 0, 0),
                     ("cancel", 0), ("run", 2.0, None)], [[]], 10)
         assert_same_as_reference(program)
-        assert ("after", 5.0, 1, 0) in execute(Engine, program)
+        log = execute(Engine, program)
+        assert ("run", 2.0) in log
+        assert ("after", 2.0, 0, 1) in log
 
 
 @pytest.mark.slow
