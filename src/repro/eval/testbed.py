@@ -103,7 +103,8 @@ class EvalTestbed:
         Protected hosts on the LAN.
     train_duration_s:
         Benign warmup fed to trainable detectors before the run (0 skips
-        training; signature-only products ignore it).
+        training).  The warmup is generated only for a deployment with a
+        trainable detector; signature-only products never build it.
     profile:
         ``"cluster"`` or ``"ecommerce"``; selects background traffic for
         both warmup and scenario.
@@ -126,7 +127,7 @@ class EvalTestbed:
         self._rng = RngRegistry(seed)
         self.node_addresses = [h.address for h in self.lan.hosts]
 
-        if train_duration_s > 0:
+        if train_duration_s > 0 and self.deployment.trainable:
             token = (("profile", self.profile),
                      ("nodes", tuple(a.value for a in self.node_addresses)),
                      ("duration_s", train_duration_s), ("seed", self.seed))

@@ -171,6 +171,11 @@ class IdsPipeline:
     # ------------------------------------------------------------------
     # training passthrough (anomaly-capable detectors)
     # ------------------------------------------------------------------
+    @property
+    def trainable(self) -> bool:
+        """Whether any sensor's detector learns a baseline."""
+        return any(hasattr(s.detector, "train") for s in self.sensors)
+
     def train_on(self, trace: Trace,
                  baselines: Optional[Dict[float, AnomalyBaseline]] = None,
                  ) -> int:

@@ -14,7 +14,8 @@ load experiments).  ``wire_size`` accounts headers + payload either way.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from itertools import count, repeat
+from typing import Iterator, Optional
 
 from ..errors import NetworkError
 from .address import IPv4Address
@@ -66,13 +67,9 @@ class TcpFlags(enum.IntFlag):
     URG = 0x20
 
 
-_packet_counter = 0
-
-
-def _next_pid() -> int:
-    global _packet_counter
-    _packet_counter += 1
-    return _packet_counter
+#: packet ids, assigned in build order
+_pids = count(1)
+_new = object.__new__
 
 
 class Packet:
@@ -134,40 +131,31 @@ class Packet:
         payload_len: Optional[int] = None,
         attack_id: Optional[str] = None,
     ) -> None:
-        if not isinstance(src, IPv4Address) or not isinstance(dst, IPv4Address):
-            raise NetworkError("src and dst must be IPv4Address instances")
-        if not (0 <= sport <= 65535 and 0 <= dport <= 65535):
-            raise NetworkError(f"port out of range: {sport}, {dport}")
-        self.pid = _next_pid()
-        self.src = src
-        self.dst = dst
+        if payload_len is None:
+            payload_len = len(payload) if payload is not None else 0
+        _fill(self, src, dst, sport, dport, proto, flags, seq, ack, payload,
+              payload_len, attack_id)
+        # checked as given, kept as plain ints
         self.sport = int(sport)
         self.dport = int(dport)
-        self.proto = proto
-        self.proto_id = proto.proto_id
-        self.flags = flags
-        # plain-int mirror of ``flags``: IntFlag operations construct new
-        # members per call, too slow for per-packet rule dispatch
-        self.flag_bits = int(flags)
         self.seq = int(seq)
         self.ack = int(ack)
-        self.payload = payload
-        if payload_len is None:
-            self._payload_len = len(payload) if payload is not None else 0
-        else:
-            if payload_len < 0:
-                raise NetworkError(f"negative payload_len {payload_len!r}")
-            if payload is not None and payload_len < len(payload):
-                raise NetworkError("payload_len smaller than materialized payload")
-            self._payload_len = int(payload_len)
-        self.attack_id = attack_id
-        # Derived-feature memo slots (payload entropy over the first 256
-        # bytes; extracted application token).  Pure functions of the
-        # immutable payload, so they may be shared by every detector pass
-        # over this packet; ``None``/``False`` mean "not computed yet"
-        # (a computed token may legitimately be ``None``).
-        self._h256 = None
-        self._tok = False
+        self._payload_len = int(payload_len)
+
+    @staticmethod
+    def build_many(src, dst, sport, dport, proto, flags, seq, ack, payload,
+                   payload_len, attack_id) -> Iterator["Packet"]:
+        """Packets built lazily from one iterable per field, in
+        ``Packet(...)`` order, with ``int`` ports, sequence numbers and
+        ``payload_len``.
+
+        Each packet takes the same validated build as ``Packet(...)``,
+        without the keyword parsing and ``int`` normalization, when the
+        iterator reaches it: cheap enough for a replay cursor to build a
+        generated trace's packets at delivery.
+        """
+        return map(_fill, map(_new, repeat(Packet)), src, dst, sport, dport,
+                   proto, flags, seq, ack, payload, payload_len, attack_id)
 
     # ------------------------------------------------------------------
     @property
@@ -230,3 +218,42 @@ class Packet:
             f"<Packet #{self.pid} {self.src}:{self.sport} -> {self.dst}:{self.dport}"
             f" {self.proto.value} len={self._payload_len}{label}>"
         )
+
+
+def _fill(pkt: Packet, src, dst, sport, dport, proto, flags, seq, ack,
+          payload, payload_len, attack_id) -> Packet:
+    """Check and set every field of ``pkt``: the one build path of
+    :class:`Packet`, behind both ``Packet(...)`` and
+    :meth:`Packet.build_many`."""
+    if not isinstance(src, IPv4Address) or not isinstance(dst, IPv4Address):
+        raise NetworkError("src and dst must be IPv4Address instances")
+    if not (0 <= sport <= 65535 and 0 <= dport <= 65535):
+        raise NetworkError(f"port out of range: {sport}, {dport}")
+    if payload_len < 0:
+        raise NetworkError(f"negative payload_len {payload_len!r}")
+    if payload is not None and payload_len < len(payload):
+        raise NetworkError("payload_len smaller than materialized payload")
+    pkt.pid = next(_pids)
+    pkt.src = src
+    pkt.dst = dst
+    pkt.sport = sport
+    pkt.dport = dport
+    pkt.proto = proto
+    pkt.proto_id = proto.proto_id
+    pkt.flags = flags
+    # plain-int mirror of ``flags``: IntFlag operations construct new
+    # members per call, too slow for per-packet rule dispatch
+    pkt.flag_bits = int(flags)
+    pkt.seq = seq
+    pkt.ack = ack
+    pkt.payload = payload
+    pkt._payload_len = payload_len
+    pkt.attack_id = attack_id
+    # Derived-feature memo slots (payload entropy over the first 256
+    # bytes; extracted application token).  Pure functions of the
+    # immutable payload, so they may be shared by every detector pass
+    # over this packet; ``None``/``False`` mean "not computed yet"
+    # (a computed token may legitimately be ``None``).
+    pkt._h256 = None
+    pkt._tok = False
+    return pkt

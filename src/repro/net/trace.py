@@ -28,25 +28,37 @@ Binary layout (little-endian)::
 
 Data plane
 ----------
+A trace is two equal-length columns: record times, which never decrease
+and are always finite, and packets.  ``TimedPacket`` pairs exist only while
+a trace is iterated or indexed.  The packet column is any sequence: a list
+for recorded, scenario, warmup and decoded traces, or a column that builds
+each packet when it is read (a generated load trace keeps per-packet
+indices into shared address and payload tables and builds its packets
+this way, so a packet lives only from delivery until a sensor drops or
+finishes it).
+
 ``save``/``to_bytes`` pack every record into one joined buffer and issue a
 single write; ``load``/``from_bytes`` map the whole file (``mmap`` when
 possible) and walk it with ``struct.unpack_from`` offsets, slicing payload
-bytes straight out of the single buffer.  :meth:`Trace.replay` drives the
-whole sorted stream through a single reusable engine cursor
-(:meth:`repro.sim.engine.Engine.schedule_stream`), which reserves the
-sequence-number block one-event-per-record scheduling would have consumed,
-so event ordering -- including ties against unrelated events -- is the
-same as if every record had been scheduled up front.
+bytes straight out of the single buffer.  :meth:`Trace.replay` hands both
+columns to a single reusable engine cursor
+(:meth:`repro.sim.engine.Engine.schedule_stream`), which reads each packet
+once, when it is delivered, and reserves the sequence-number block
+one-event-per-record scheduling would have consumed, so event ordering --
+including ties against unrelated events -- is the same as if every record
+had been scheduled up front.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import mmap
 import os
 import struct
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from array import array
+from math import isfinite
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,16 +95,39 @@ class TimedPacket(Tuple[float, Packet]):
         return self[1]
 
 
+#: a ``TimedPacket`` from a ``(float, Packet)`` pair, skipping ``float()``
+_timed = functools.partial(tuple.__new__, TimedPacket)
+
+
+def _not_finite(t: float) -> TraceFormatError:
+    return TraceFormatError(f"record time {t} is not finite")
+
+
+def _check_times(times: np.ndarray) -> None:
+    """Raise unless every time is finite and none precedes the one before
+    it; one pass over the whole column."""
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise _not_finite(float(times[bad[0]]))
+    back = np.flatnonzero(times[1:] < times[:-1])
+    if back.size:
+        i = int(back[0])
+        raise TraceFormatError(
+            f"record at t={times[i + 1]} precedes previous t={times[i]}")
+
+
 class Trace:
     """An ordered, labeled packet trace.
 
-    Records must be appended in non-decreasing time order (enforced), which
-    keeps replay a single linear pass.
+    Records must be appended in non-decreasing, finite time order
+    (enforced), which keeps replay a single linear pass.  The records are
+    kept as a times column and a packet column (see "Data plane" above).
     """
 
     def __init__(self, name: str = "trace") -> None:
         self.name = name
-        self._records: List[TimedPacket] = []
+        self._times: Sequence[float] = []
+        self._packets: Sequence[Packet] = []
         # cached aggregate sweeps; invalidated by append()
         self._total_bytes: Optional[int] = None
         self._attack_packets: Optional[int] = None
@@ -102,34 +137,41 @@ class Trace:
     # building
     # ------------------------------------------------------------------
     def append(self, time: float, packet: Packet) -> None:
-        if self._records and time < self._records[-1].time:
+        """Add one record after the last (a trace built by
+        :meth:`from_sorted` takes appends only if its packet column is a
+        list)."""
+        time = float(time)
+        if not isfinite(time):
+            raise _not_finite(time)
+        times = self._times
+        if times and time < times[-1]:
             raise TraceFormatError(
-                f"record at t={time} precedes previous t={self._records[-1].time}"
-            )
-        self._records.append(TimedPacket(time, packet))
+                f"record at t={time} precedes previous t={times[-1]}")
+        times.append(time)
+        self._packets.append(packet)
         self._total_bytes = None
         self._attack_packets = None
         self._benign_flows = None
 
     @classmethod
-    def from_sorted(cls, times: np.ndarray, packets: Sequence[Packet],
+    def from_sorted(cls, times, packets: Sequence[Packet],
                     name: str = "trace") -> "Trace":
-        """A trace of ``zip(times, packets)``, built in one pass.
+        """A trace of ``zip(times, packets)``, built from whole columns.
 
-        ``times`` must never decrease, as :meth:`append` requires; the
-        check runs once over the whole array instead of once per record.
+        ``times`` (any float sequence, e.g. a numpy array) must be finite
+        and never decrease, as :meth:`append` requires; the check runs once
+        over the whole column instead of once per record.  The trace keeps
+        the times as an ``array("d")``, which hands out plain floats, and
+        ``packets`` itself as its packet column.
         """
         times = np.asarray(times, dtype=float)
         if len(times) != len(packets):
             raise TraceFormatError(
                 f"{len(times)} times for {len(packets)} packets")
-        back = np.flatnonzero(times[1:] < times[:-1])
-        if back.size:
-            i = int(back[0])
-            raise TraceFormatError(
-                f"record at t={times[i + 1]} precedes previous t={times[i]}")
+        _check_times(times)
         trace = cls(name)
-        trace._records = list(map(TimedPacket, times.tolist(), packets))
+        trace._times = array("d", times.tobytes())
+        trace._packets = packets
         return trace
 
     def extend(self, records: Iterable[Tuple[float, Packet]]) -> None:
@@ -140,52 +182,53 @@ class Trace:
     def merge(traces: Iterable["Trace"], name: str = "merged") -> "Trace":
         """Merge traces by time (stable across equal timestamps)."""
         merged = Trace(name)
+        times, packets = merged._times, merged._packets
         streams = [list(t) for t in traces]
-        for rec in heapq.merge(*streams, key=lambda r: r.time):
-            merged._records.append(rec)
+        for t, pkt in heapq.merge(*streams, key=lambda r: r.time):
+            times.append(t)
+            packets.append(pkt)
         return merged
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TimedPacket]:
-        return iter(self._records)
+        return map(_timed, zip(self._times, self._packets))
 
     def __getitem__(self, idx: int) -> TimedPacket:
-        return self._records[idx]
+        return _timed((self._times[idx], self._packets[idx]))
 
     @property
     def duration(self) -> float:
-        if not self._records:
+        if not self._times:
             return 0.0
-        return self._records[-1].time - self._records[0].time
+        return self._times[-1] - self._times[0]
 
     @property
     def total_bytes(self) -> int:
         if self._total_bytes is None:
-            self._total_bytes = sum(
-                r.packet.wire_size for r in self._records)
+            self._total_bytes = sum(p.wire_size for p in self._packets)
         return self._total_bytes
 
     def attack_ids(self) -> set:
         """Distinct ground-truth attack instances present in the trace."""
-        return {r.packet.attack_id for r in self._records if r.packet.attack_id}
+        return {p.attack_id for p in self._packets if p.attack_id}
 
     def attack_packet_count(self) -> int:
         if self._attack_packets is None:
             self._attack_packets = sum(
-                1 for r in self._records if r.packet.attack_id)
+                1 for p in self._packets if p.attack_id)
         return self._attack_packets
 
     def benign_flow_count(self) -> int:
         """Distinct :class:`FlowKey` flows among the benign packets."""
         if self._benign_flows is None:
             self._benign_flows = len({
-                FlowKey.of(r.packet) for r in self._records
-                if r.packet.attack_id is None})
+                FlowKey.of(p) for p in self._packets
+                if p.attack_id is None})
         return self._benign_flows
 
     # ------------------------------------------------------------------
@@ -202,10 +245,10 @@ class Trace:
 
     def _encode(self) -> bytes:
         """Pack every record, join, one buffer out."""
-        parts = [_HEADER.pack(_MAGIC, _VERSION, len(self._records))]
+        parts = [_HEADER.pack(_MAGIC, _VERSION, len(self))]
         pack = _RECORD.pack
         append = parts.append
-        for t, p in self._records:
+        for t, p in zip(self._times, self._packets):
             payload = p.payload or b""
             attack = (p.attack_id or "").encode("utf-8")
             append(pack(
@@ -272,7 +315,7 @@ class Trace:
         if version != _VERSION:
             raise TraceFormatError(f"unsupported trace version {version}")
         trace = cls(name)
-        records = trace._records
+        times, packets = trace._times, trace._packets
         unpack_from = _RECORD.unpack_from
         rsize = _RECORD.size
         off = _HEADER.size
@@ -282,6 +325,8 @@ class Trace:
             (t, src, dst, sport, dport, proto_code, flags,
              seq, ack, plen, blen, alen) = unpack_from(buf, off)
             off += rsize
+            if not isfinite(t):
+                raise _not_finite(t)
             if blen:
                 if off + blen > end:
                     raise TraceFormatError("truncated payload")
@@ -309,7 +354,8 @@ class Trace:
                 payload_len=plen,
                 attack_id=attack_id,
             )
-            records.append(TimedPacket(t, pkt))
+            times.append(t)
+            packets.append(pkt)
         return trace
 
     def to_bytes(self) -> bytes:
@@ -353,10 +399,11 @@ class Trace:
         """
         if speedup <= 0:
             raise TraceFormatError("speedup must be positive")
-        if not self._records:
+        if not self._times:
             return None
         return engine.schedule_stream(
-            self._records, sink, start_at=start_at, speedup=speedup)
+            self._times, self._packets, sink, start_at=start_at,
+            speedup=speedup)
 
 
 class TraceRecorder:

@@ -222,6 +222,11 @@ class Deployment:
             if agent is not None and not agent.migrated:
                 agent.host.receive(pkt)
 
+    @property
+    def trainable(self) -> bool:
+        """Whether :meth:`train_on` has a detector to train."""
+        return self.pipeline is not None and self.pipeline.trainable
+
     def train_on(self, trace: Trace,
                  baselines: Optional[Dict[float, AnomalyBaseline]] = None,
                  ) -> None:

@@ -59,26 +59,30 @@ class _StreamCursor(EventHandle):
     """The one heap entry of a :meth:`Engine.schedule_stream` replay.
 
     Record ``i`` is queued under sequence number ``base + i``, so the
-    entry's ``seq`` is also the cursor's position in ``records``.
+    entry's ``seq`` is also the cursor's position in ``times``.
+    ``payloads`` is an iterator over the payload column, advanced once per
+    delivered record.
     """
 
-    __slots__ = ("records", "sink", "start_at", "t0", "speedup", "priority",
-                 "base")
+    __slots__ = ("times", "payloads", "sink", "start_at", "t0", "speedup",
+                 "priority", "base")
 
-    def __init__(self, records, sink: Callable[..., Any], start_at: float,
-                 speedup: float, priority: int, base: int) -> None:
+    def __init__(self, times, payloads, sink: Callable[..., Any],
+                 start_at: float, speedup: float, priority: int,
+                 base: int) -> None:
         super().__init__(None, ())
-        self.records = records
+        self.times = times
+        self.payloads = iter(payloads)
         self.sink = sink
         self.start_at = start_at
-        self.t0 = records[0][0]
+        self.t0 = times[0]
         self.speedup = speedup
         self.priority = priority
         self.base = base
 
     def entry(self, idx: int) -> tuple:
         """The heap entry that delivers record ``idx``."""
-        return (self.start_at + (self.records[idx][0] - self.t0) / self.speedup,
+        return (self.start_at + (self.times[idx] - self.t0) / self.speedup,
                 self.priority, self.base + idx, self)
 
 
@@ -173,7 +177,8 @@ class Engine:
 
     def schedule_stream(
         self,
-        records,
+        times,
+        payloads,
         sink: Callable[..., Any],
         start_at: float = 0.0,
         speedup: float = 1.0,
@@ -181,11 +186,14 @@ class Engine:
     ) -> EventHandle:
         """Deliver a time-sorted record stream through one reusable cursor.
 
-        ``records`` is a non-empty sequence of ``(time, payload)`` pairs in
-        non-decreasing time order; record ``i`` is delivered as
-        ``sink(payload_i)`` at ``start_at + (time_i - time_0) / speedup`` --
-        the exact expression per-record scheduling would use.  Only one heap
-        entry exists at a time instead of ``len(records)``.
+        The stream is two equal-length, non-empty columns: ``times``, in
+        non-decreasing order, and ``payloads``.  Record ``i`` is delivered
+        as ``sink(payload_i)`` at ``start_at + (times[i] - times[0]) /
+        speedup`` -- the exact expression per-record scheduling would use.
+        Only one heap entry exists at a time instead of ``len(times)``.
+        The cursor iterates ``payloads`` once and takes item ``i`` exactly
+        when it delivers record ``i``, so a payload column may build its
+        items on demand; a cancelled stream takes no further item.
 
         Event ordering is *identical* to eager per-record ``schedule_at``
         calls: the cursor reserves the contiguous sequence-number block
@@ -198,9 +206,12 @@ class Engine:
         Cancelling the returned cursor stops the not-yet-delivered
         remainder of the stream.
         """
-        n = len(records)
+        n = len(times)
         if n == 0:
             raise ScheduleError("schedule_stream needs at least one record")
+        if len(payloads) != n:
+            raise ScheduleError(
+                f"{n} times for {len(payloads)} payloads")
         if not speedup > 0:
             raise ScheduleError(f"non-positive or NaN speedup {speedup!r}")
         if start_at != start_at:
@@ -208,7 +219,8 @@ class Engine:
         if not callable(sink):
             raise ScheduleError(f"sink {sink!r} is not callable")
         base = self._seq
-        cursor = _StreamCursor(records, sink, start_at, speedup, priority, base)
+        cursor = _StreamCursor(times, payloads, sink, start_at, speedup,
+                               priority, base)
         first_at, _, _, _ = cursor.entry(0)
         if not first_at >= self.now:
             raise ScheduleError(
@@ -249,9 +261,9 @@ class Engine:
         handle = entry[3]
         if handle.__class__ is _StreamCursor:
             idx = entry[2] - handle.base
-            if idx + 1 < len(handle.records):
+            if idx + 1 < len(handle.times):
                 _heappush(self._heap, handle.entry(idx + 1))
-            handle.sink(handle.records[idx][1])
+            handle.sink(next(handle.payloads))
         else:
             fn, args = handle.fn, handle.args
             handle.fn, handle.args = None, ()  # break cycles
@@ -272,13 +284,13 @@ class Engine:
         """
         heap = self._heap
         cursor = entry[3]
-        records = cursor.records
+        next_payload = cursor.payloads.__next__
         sink = cursor.sink
-        n = len(records)
+        n = len(cursor.times)
         idx = entry[2] - cursor.base
         done = 0
         while True:
-            payload = records[idx][1]
+            payload = next_payload()
             idx += 1
             if idx == n:
                 sink(payload)

@@ -201,11 +201,12 @@ class TestRetention:
 
     def test_field_builds_each_trace_once(self, monkeypatch):
         builds = Builds(monkeypatch)
-        evaluate_field([NidProduct, AafidProduct],
+        evaluate_field([NidProduct, ManhuntProduct, AafidProduct],
                        realtime_cluster_requirements(),
                        EvaluationOptions(**TINY, workers=1))
         assert builds.load == {500.0: 1, 1200.0: 1}
         assert builds.scenarios == 1
+        # only ManHunt trains, so only its scenario unit reads a warmup
         assert builds.warmups == 1
 
     def test_sweep_builds_its_scenario_once(self, monkeypatch):
@@ -231,8 +232,8 @@ class TestRetention:
     def test_runs_share_nothing(self, monkeypatch):
         builds = Builds(monkeypatch)
         opts = EvaluationOptions(**{**TINY, "throughput_rates_pps": (500,)})
-        first = evaluate_product(AafidProduct, opts)
-        again = evaluate_product(AafidProduct, opts)
+        first = evaluate_product(ManhuntProduct, opts)
+        again = evaluate_product(ManhuntProduct, opts)
         assert again == first
         assert builds.load == {500.0: 2}
         assert (builds.scenarios, builds.warmups) == (2, 2)

@@ -299,25 +299,21 @@ class TestResultCache:
 class TrippingProduct(AafidProduct):
     """AAFID whose 1200-pps throughput probe raises.
 
-    Load probes are the only units that deploy untrained, and at TINY's
-    0.2 s probe the 500-pps rung offers 100 packets, the 1200-pps rung 240.
+    Load probes are the only units that deploy on 4 hosts (TINY's scenario
+    testbed has 3), and at TINY's 0.2 s probe the 500-pps rung offers 100
+    packets, the 1200-pps rung 240.
     """
 
     def deploy(self, engine, testbed):
         dep = super().deploy(engine, testbed)
-        dep.trained = False
-        train_on, ingest = dep.train_on, dep.ingest
-
-        def trained_on(trace, *args):
-            dep.trained = True
-            train_on(trace, *args)
+        ingest = dep.ingest
 
         def ingest_or_trip(pkt):
-            if not dep.trained and dep.ingested >= 150:
+            if len(testbed.hosts) == 4 and dep.ingested >= 150:
                 raise RuntimeError("tripwire")
             ingest(pkt)
 
-        dep.train_on, dep.ingest = trained_on, ingest_or_trip
+        dep.ingest = ingest_or_trip
         return dep
 
 

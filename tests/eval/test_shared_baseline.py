@@ -21,7 +21,8 @@ from repro.ids.monitor import Monitor
 from repro.ids.pipeline import IdsPipeline
 from repro.ids.sensor import AnomalyDetector, Sensor
 from repro.net.address import Subnet
-from repro.products import ManhuntProduct
+from repro.products import (AafidProduct, ManhuntProduct, NidProduct,
+                            RealSecureProduct)
 from repro.sim.engine import Engine
 from repro.traffic.profiles import ClusterProfile
 
@@ -164,3 +165,40 @@ class TestPipelineTrainOn:
 def _warmup():
     nodes = list(Subnet("10.0.0.0/24").hosts(4))
     return ClusterProfile(nodes).generate(5.0, np.random.default_rng(4))
+
+
+class TestWarmupOnlyWhenRead:
+    """A testbed generates its warmup only when a detector will train on
+    it; signature-only deployments never build one."""
+
+    @pytest.fixture
+    def warmups(self, monkeypatch):
+        calls = []
+        background = EvalTestbed._background_trace
+
+        def counted(testbed, *args):
+            calls.append(testbed.product.name)
+            return background(testbed, *args)
+
+        monkeypatch.setattr(EvalTestbed, "_background_trace", counted)
+        return calls
+
+    @pytest.mark.parametrize("factory", [NidProduct, RealSecureProduct,
+                                         AafidProduct])
+    def test_untrainable_deployment_builds_no_warmup(self, factory, warmups):
+        testbed = EvalTestbed(factory(), train_duration_s=30.0)
+        assert not testbed.deployment.trainable
+        assert warmups == []
+
+    def test_nid_sweep_builds_no_warmup(self, warmups):
+        sensitivity_sweep(lambda s: NidProduct(sensitivity=s), "sim-nid",
+                          sensitivities=(0.2, 0.8), duration_s=8.0)
+        assert warmups == []
+
+    def test_manhunt_still_trains_on_the_whole_warmup(self, warmups,
+                                                      train_calls):
+        testbed = EvalTestbed(manhunt(), train_duration_s=30.0)
+        assert testbed.deployment.trainable
+        assert warmups == [testbed.product.name]
+        # the 30 s seed-0 warmup over 6 hosts, learned once for 4 sensors
+        assert len(train_calls) == 3708

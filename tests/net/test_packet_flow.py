@@ -77,6 +77,44 @@ class TestPacket:
             p.src, p.dst, p.payload, p.attack_id, p.flags)
 
 
+def build_one(**overrides):
+    """One packet through ``Packet.build_many``, from ``mk``'s fields."""
+    fields = dict(src=A, dst=B, sport=1234, dport=80, proto=Protocol.TCP,
+                  flags=TcpFlags.NONE, seq=0, ack=0, payload=None,
+                  payload_len=0, attack_id=None)
+    fields.update(overrides)
+    return next(Packet.build_many(*([v] for v in fields.values())))
+
+
+class TestBuildMany:
+    """The lazy bulk build runs ``Packet(...)``'s checks on every packet."""
+
+    def test_same_fields_as_constructor(self):
+        p = build_one(payload=b"abc", payload_len=3, flags=TcpFlags.SYN,
+                      seq=7, attack_id="a1")
+        q = mk(payload=b"abc", flags=TcpFlags.SYN, seq=7, attack_id="a1")
+        assert [getattr(p, s) for s in Packet.__slots__ if s != "pid"] == [
+            getattr(q, s) for s in Packet.__slots__ if s != "pid"]
+        assert p.pid != q.pid
+
+    @pytest.mark.parametrize("bad", [
+        dict(src="10.0.0.1"), dict(dst=None), dict(sport=70000),
+        dict(dport=-1), dict(payload_len=-1),
+        dict(payload=b"abcd", payload_len=2)])
+    def test_checks_run_per_packet(self, bad):
+        with pytest.raises(NetworkError):
+            build_one(**bad)
+
+    def test_builds_lazily(self):
+        packets = Packet.build_many([A, "bad"], [B, B], [1, 2], [80, 80],
+                                    [Protocol.TCP] * 2, [TcpFlags.NONE] * 2,
+                                    [0, 0], [0, 0], [None, None], [0, 0],
+                                    [None, None])
+        assert next(packets).sport == 1
+        with pytest.raises(NetworkError):
+            next(packets)
+
+
 class TestFlowKey:
     def test_bidirectional_canonicalization(self):
         fwd = mk()

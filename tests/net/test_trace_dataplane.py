@@ -7,17 +7,23 @@ The batched ``to_bytes``/``from_bytes`` pair must be *byte-identical*
 arbitrary traces -- including payload-less packets, logical-length-only
 packets, and attack labels.  :meth:`Trace.replay` must deliver the same
 events in the same order as the oracle's eager per-record scheduling,
-including ties against unrelated events.
+including ties against unrelated events, for recorded traces and for
+generated load traces, whose packets are built at delivery.  Every way a
+trace gets its times rejects a NaN or infinite one.
 """
 
 import io
+import math
 import pathlib
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
+from repro.eval.throughput import make_load_trace
 from repro.net.address import IPv4Address
 from repro.net.packet import Packet, Protocol, TcpFlags
 from repro.net.trace import Trace
@@ -197,7 +203,8 @@ def replay_log(trace, replay, speedup=1.0, start_at=0.0, competing=True):
     scheduled_inner = []
 
     def sink(pkt):
-        log.append(("pkt", pkt.sport, pkt.dport, engine.now))
+        log.append(("pkt", pkt.src.value, pkt.sport, pkt.dport, pkt.payload,
+                    pkt.payload_len, engine.now))
         if not scheduled_inner:
             scheduled_inner.append(True)
             engine.schedule(0.0, log.append, ("inner", engine.now))
@@ -217,6 +224,18 @@ def replayable_traces(draw):
     return trace
 
 
+@st.composite
+def load_traces(draw):
+    """Generated load traces of at least one record."""
+    return make_load_trace(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        draw(st.sampled_from((1000.0, 4000.0, 20000.0))),
+        draw(st.sampled_from((0.001, 0.002, 0.005))), A,
+        payload_mode=draw(st.sampled_from(("http", "random", "logical"))),
+        payload_size=draw(st.sampled_from((0, 40, 400))),
+        src_pool=draw(st.sampled_from((1, 64, 300))))
+
+
 class TestReplayEquivalence:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -224,6 +243,16 @@ class TestReplayEquivalence:
            speedup=st.sampled_from((0.5, 1.0, 4.0)),
            start_at=st.sampled_from((0.0, 3.0)))
     def test_batched_equals_scheduled(self, trace, speedup, start_at):
+        assert (replay_log(trace, Trace.replay, speedup, start_at)
+                == replay_log(trace, trace_v1.replay_scheduled, speedup,
+                              start_at))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(trace=load_traces(),
+           speedup=st.sampled_from((0.5, 1.0, 4.0)),
+           start_at=st.sampled_from((0.0, 3.0)))
+    def test_generated_load_equals_scheduled(self, trace, speedup, start_at):
         assert (replay_log(trace, Trace.replay, speedup, start_at)
                 == replay_log(trace, trace_v1.replay_scheduled, speedup,
                               start_at))
@@ -258,6 +287,46 @@ class TestReplayEquivalence:
         assert engine.pending == 0
 
 
+class TestNonFiniteTimes:
+    """A NaN time compares false both ways and would slip past the order
+    check, then move the replay clock to NaN; every way a trace gets its
+    times refuses it, and infinities too."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_append(self, bad):
+        trace = Trace()
+        with pytest.raises(TraceFormatError, match="not finite"):
+            trace.append(bad, Packet(src=A, dst=B))
+        trace.append(0.0, Packet(src=A, dst=B))
+        with pytest.raises(TraceFormatError, match="not finite"):
+            trace.append(bad, Packet(src=A, dst=B))
+        assert len(trace) == 1
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_from_sorted(self, bad):
+        with pytest.raises(TraceFormatError, match="not finite"):
+            Trace.from_sorted([0.0, bad, 1.0],
+                              [Packet(src=A, dst=B) for _ in range(3)])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_decode(self, bad, tmp_path):
+        trace = Trace()
+        for i in range(3):
+            trace.append(float(i), Packet(src=A, dst=B, sport=i))
+        data = bytearray(trace.to_bytes())
+        # the second record's time (no payload or label bytes in between)
+        offset = trace_v1.HEADER.size + trace_v1.RECORD.size
+        data[offset:offset + 8] = struct.pack("<d", bad)
+        with pytest.raises(TraceFormatError, match="not finite"):
+            Trace.from_bytes(bytes(data))
+        path = tmp_path / "bad.rtrc"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="not finite"):
+            Trace.load(path)
+
+
 @pytest.mark.slow
 class TestDataplaneDeep:
     """The long lane: more examples against the v1 oracle (CI's -m slow
@@ -280,6 +349,17 @@ class TestDataplaneDeep:
            speedup=st.sampled_from((0.25, 0.5, 1.0, 3.0, 4.0)),
            start_at=st.sampled_from((0.0, 0.001, 3.0)))
     def test_replay_matches_scheduled_deep(self, trace, speedup, start_at):
+        assert (replay_log(trace, Trace.replay, speedup, start_at)
+                == replay_log(trace, trace_v1.replay_scheduled, speedup,
+                              start_at))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(trace=load_traces(),
+           speedup=st.sampled_from((0.25, 0.5, 1.0, 3.0, 4.0)),
+           start_at=st.sampled_from((0.0, 0.001, 3.0)))
+    def test_generated_load_matches_scheduled_deep(self, trace, speedup,
+                                                   start_at):
         assert (replay_log(trace, Trace.replay, speedup, start_at)
                 == replay_log(trace, trace_v1.replay_scheduled, speedup,
                               start_at))

@@ -231,13 +231,13 @@ class TestNaNRejected:
     def test_nan_stream_start(self):
         eng = Engine()
         with pytest.raises(ScheduleError):
-            eng.schedule_stream([(0.0, "a")], print, start_at=float("nan"))
+            eng.schedule_stream([0.0], ["a"], print, start_at=float("nan"))
         assert eng.pending == 0
 
     def test_nan_stream_speedup(self):
         eng = Engine()
         with pytest.raises(ScheduleError):
-            eng.schedule_stream([(0.0, "a"), (1.0, "b")], print,
+            eng.schedule_stream([0.0, 1.0], ["a", "b"], print,
                                 speedup=float("nan"))
         assert eng.pending == 0
 
@@ -251,7 +251,8 @@ class TestInlineReplay:
                                                  real(heap, entry)))
         eng = Engine()
         seen = []
-        eng.schedule_stream([(float(i), i) for i in range(100)], seen.append)
+        eng.schedule_stream([float(i) for i in range(100)], range(100),
+                            seen.append)
         eng.run()
         assert seen == list(range(100))
         assert pushes == [0]
@@ -262,7 +263,7 @@ class TestInlineReplay:
         eng = Engine()
         seen = []
         eng.schedule_stream(
-            [(0.0, "a"), (1.0, "b"), (1.0, "c")],
+            [0.0, 1.0, 1.0], ["a", "b", "c"],
             lambda p: seen.append((p, eng.now, eng.events_executed,
                                    eng.pending)),
             start_at=2.0, speedup=2.0)
@@ -278,12 +279,116 @@ class TestInlineReplay:
                 raise RuntimeError("boom")
             seen.append(p)
 
-        eng.schedule_stream([(float(i), i) for i in range(4)], sink)
+        eng.schedule_stream([0.0, 1.0, 2.0, 3.0], range(4), sink)
         with pytest.raises(RuntimeError):
             eng.run()
         assert (seen, eng.pending, eng.events_executed) == ([0], 1, 1)
         eng.run()
         assert seen == [0, 2, 3]
+
+
+class CountingColumn:
+    """A payload column that logs every index the engine reads."""
+
+    def __init__(self, items):
+        self.items = list(items)
+        self.reads = []
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, idx):
+        self.reads.append(idx)
+        return self.items[idx]
+
+    def assert_read_once_in_order(self, delivered):
+        """Every index up to the last delivered one was read once, in
+        order, and no later one was read at all."""
+        k = len(self.reads)
+        assert self.reads == list(range(k))
+        assert self.items[:k] == delivered
+
+
+class TestPayloadColumnReads:
+    """The cursor takes payload ``i`` exactly once, when it delivers
+    record ``i``, so a column may build its payloads on demand."""
+
+    def stream(self, eng, n, sink, **kwargs):
+        column = CountingColumn(range(n))
+        cursor = eng.schedule_stream([float(i) for i in range(n)], column,
+                                     sink, **kwargs)
+        return column, cursor
+
+    def test_plain_run(self):
+        eng = Engine()
+        seen = []
+        column, _ = self.stream(eng, 6, seen.append)
+        eng.schedule_at(2.0, seen.append, "tick")  # forces a heap pass
+        eng.run()
+        assert seen == [0, 1, 2, "tick", 3, 4, 5]
+        column.assert_read_once_in_order([0, 1, 2, 3, 4, 5])
+
+    def test_raising_sink_then_later_run(self):
+        eng = Engine()
+        seen = []
+
+        def sink(p):
+            if p == 2:
+                raise RuntimeError("boom")
+            seen.append(p)
+
+        column, _ = self.stream(eng, 5, sink)
+        with pytest.raises(RuntimeError):
+            eng.run()
+        assert column.reads == [0, 1, 2]
+        eng.run()
+        assert seen == [0, 1, 3, 4]
+        column.assert_read_once_in_order([0, 1, 2, 3, 4])
+
+    def test_nested_step(self):
+        eng = Engine()
+        seen = []
+
+        def sink(p):
+            seen.append(p)
+            if p in (1, 2):
+                eng.step()  # delivers the next record from inside
+
+        column, _ = self.stream(eng, 6, sink)
+        eng.run()
+        assert seen == [0, 1, 2, 3, 4, 5]
+        column.assert_read_once_in_order([0, 1, 2, 3, 4, 5])
+
+    def test_cancel_stops_reads(self):
+        eng = Engine()
+        seen = []
+
+        def sink(p):
+            seen.append(p)
+            if p == 2:
+                cursor.cancel()
+
+        column, cursor = self.stream(eng, 8, sink)
+        eng.run()
+        assert seen == [0, 1, 2]
+        column.assert_read_once_in_order([0, 1, 2])
+
+    def test_step_and_budget(self):
+        eng = Engine()
+        seen = []
+        column, _ = self.stream(eng, 5, seen.append)
+        assert eng.step()
+        eng.run(max_events=2)
+        assert column.reads == [0, 1, 2]
+        eng.run(until=3.5)
+        eng.run()
+        column.assert_read_once_in_order([0, 1, 2, 3, 4])
+
+    def test_columns_must_match(self):
+        eng = Engine()
+        with pytest.raises(ScheduleError, match="2 times for 3 payloads"):
+            eng.schedule_stream([0.0, 1.0], ["a", "b", "c"], print)
+        assert eng.pending == 0
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +412,7 @@ def execute(engine_cls, program):
     handles = []
     labels = iter(range(10**9))
     left = [budget]
+    counted = []  # the production engine's payload columns
 
     def note(tag):
         log.append((tag, eng.now, eng.events_executed, eng.pending))
@@ -339,8 +445,14 @@ def execute(engine_cls, program):
                 return
             left[0] -= len(times)
             records = [(t, (next(labels), behavior)) for t in times]
+            if engine_cls is Engine:  # the same records, as two columns
+                column = CountingColumn(payload for _, payload in records)
+                counted.append(column)
+                columns = (list(times), column)
+            else:
+                columns = (records,)
             handles.append(eng.schedule_stream(
-                records, sink, start_at=eng.now + offset, speedup=speedup,
+                *columns, sink, start_at=eng.now + offset, speedup=speedup,
                 priority=prio))
         elif kind == "cancel":
             if handles:
@@ -373,6 +485,10 @@ def execute(engine_cls, program):
     while eng.pending:  # drain what the program left, one step at a time
         attempt(("step",))
         note("drain")
+    fired = {entry[0] for entry in log if type(entry[0]) is int}
+    for column in counted:
+        column.assert_read_once_in_order(
+            [item for item in column.items if item[0] in fired])
     return log
 
 
