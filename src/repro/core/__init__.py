@@ -45,7 +45,7 @@ from .profiles import (
     ecommerce_requirements,
     realtime_cluster_requirements,
 )
-from .report import format_metric_table, format_score_matrix, format_weighted_results
+from .report import format_weighted_results
 from .requirements import Requirement, RequirementSet
 from .scorecard import ScoreEntry, Scorecard
 from .scoring import WeightedResult, rank_products, weighted_scores
@@ -88,7 +88,5 @@ __all__ = [
     "realtime_cluster_requirements",
     "distributed_requirements",
     "ecommerce_requirements",
-    "format_metric_table",
-    "format_score_matrix",
     "format_weighted_results",
 ]

@@ -1,56 +1,14 @@
-"""Textual rendering of scorecards and weighted results."""
+"""Textual rendering of weighted results (the scorecard and metric tables
+render in :mod:`repro.report.tables`)."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .metric import MetricClass
-from .scorecard import Scorecard
 from .scoring import WeightedResult, rank_products
 
-__all__ = ["format_metric_table", "format_score_matrix", "format_weighted_results"]
-
-_CLASS_TITLES = {
-    MetricClass.LOGISTICAL: "Logistical Metrics (class 1)",
-    MetricClass.ARCHITECTURAL: "Architectural Metrics (class 2)",
-    MetricClass.PERFORMANCE: "Performance Metrics (class 3)",
-}
-
-
-def format_metric_table(catalog, metric_class: MetricClass,
-                        table_only: bool = True, width: int = 78) -> str:
-    """Render one metric class as a definition table (paper Tables 1-3)."""
-    lines = [_CLASS_TITLES[metric_class], "=" * len(_CLASS_TITLES[metric_class])]
-    for metric in catalog.by_class(metric_class, table_only=table_only):
-        lines.append(f"\n{metric.name}")
-        definition = metric.definition
-        while definition:
-            lines.append("    " + definition[: width - 4])
-            definition = definition[width - 4:]
-        methods = ", ".join(sorted(m.value for m in metric.methods))
-        lines.append(f"    [observed by: {methods}]")
-    return "\n".join(lines)
-
-
-def format_score_matrix(scorecard: Scorecard,
-                        metric_class: Optional[MetricClass] = None,
-                        table_only: bool = True) -> str:
-    """Render the product x metric score matrix."""
-    products = scorecard.products
-    metrics = [m for m in scorecard.catalog
-               if (metric_class is None or m.metric_class is metric_class)
-               and (m.in_paper_table or not table_only)]
-    name_w = max((len(m.name) for m in metrics), default=10) + 2
-    col_w = max((len(p) for p in products), default=8) + 2
-    header = " " * name_w + "".join(p.rjust(col_w) for p in products)
-    lines = [header, "-" * len(header)]
-    for metric in metrics:
-        row = metric.name.ljust(name_w)
-        for product in products:
-            score = scorecard.score(product, metric.name)
-            row += ("-" if score is None else str(score)).rjust(col_w)
-        lines.append(row)
-    return "\n".join(lines)
+__all__ = ["format_weighted_results"]
 
 
 def format_weighted_results(results: Sequence[WeightedResult]) -> str:

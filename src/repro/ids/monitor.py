@@ -14,7 +14,7 @@ notification latency.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.engine import Engine
@@ -154,28 +154,6 @@ class Monitor(Component):
                 continue
             out.append(a)
         return out
-
-    def alert_trend(self, window_s: float = 60.0,
-                    category_prefix: Optional[str] = None) -> List[Tuple[float, int]]:
-        """Alert counts per time window ("Trend Analysis", Table 3's
-        companion list): ``[(window_start, count), ...]`` for non-empty
-        windows, in time order."""
-        if window_s <= 0:
-            raise ConfigurationError("window_s must be positive")
-        counts: Dict[int, int] = {}
-        for alert in self.alerts:
-            if category_prefix is not None and not alert.category.startswith(
-                    category_prefix):
-                continue
-            counts[int(alert.time // window_s)] = counts.get(
-                int(alert.time // window_s), 0) + 1
-        return [(idx * window_s, n) for idx, n in sorted(counts.items())]
-
-    def severity_histogram(self) -> Dict[Severity, int]:
-        hist: Dict[Severity, int] = {s: 0 for s in Severity}
-        for a in self.alerts:
-            hist[a.severity] += 1
-        return hist
 
     @property
     def alert_count(self) -> int:

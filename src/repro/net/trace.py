@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import TraceFormatError
-from ..sim.engine import Engine, EventHandle
+from ..sim.engine import Engine
 from .address import IPv4Address
 from .flow import FlowKey
 from .packet import Packet, Protocol, TcpFlags
@@ -304,7 +304,8 @@ class Trace:
 
         ``unpack_from`` walks fixed offsets with no per-record reads;
         payloads are sliced straight out of the buffer (an ``mmap`` slice
-        materializes only the pages actually touched).
+        materializes only the pages actually touched).  The decoded times
+        column is checked once, as :meth:`from_sorted` checks its input.
         """
         end = len(buf)
         if end < _HEADER.size:
@@ -325,8 +326,6 @@ class Trace:
             (t, src, dst, sport, dport, proto_code, flags,
              seq, ack, plen, blen, alen) = unpack_from(buf, off)
             off += rsize
-            if not isfinite(t):
-                raise _not_finite(t)
             if blen:
                 if off + blen > end:
                     raise TraceFormatError("truncated payload")
@@ -356,6 +355,7 @@ class Trace:
             )
             times.append(t)
             packets.append(pkt)
+        _check_times(np.asarray(times, dtype=float))
         return trace
 
     def to_bytes(self) -> bytes:
@@ -389,21 +389,19 @@ class Trace:
         sink: Callable[[Packet], None],
         start_at: float = 0.0,
         speedup: float = 1.0,
-    ) -> Optional[EventHandle]:
+    ) -> None:
         """Feed every record to ``sink`` on ``engine``'s clock.
 
         ``speedup > 1`` compresses inter-packet gaps (a rate-scaling knob for
-        throughput sweeps); packet *content* is unchanged.  The returned
-        handle cancels the not-yet-delivered remainder (``None`` for an
-        empty trace).
+        throughput sweeps); packet *content* is unchanged.  An empty trace
+        schedules nothing.
         """
         if speedup <= 0:
             raise TraceFormatError("speedup must be positive")
-        if not self._times:
-            return None
-        return engine.schedule_stream(
-            self._times, self._packets, sink, start_at=start_at,
-            speedup=speedup)
+        if self._times:
+            engine.schedule_stream(
+                self._times, self._packets, sink, start_at=start_at,
+                speedup=speedup)
 
 
 class TraceRecorder:

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel: engine, faults, RNG, resources, stats."""
 
-from .engine import Engine, EventHandle
+from .engine import Engine
 from .faults import (
     Fault,
     FaultInjector,
@@ -15,7 +15,6 @@ from .stats import RateMeter, TimeWeighted
 
 __all__ = [
     "Engine",
-    "EventHandle",
     "Fault",
     "FaultInjector",
     "FaultKind",

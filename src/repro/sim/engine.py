@@ -7,10 +7,10 @@ insertion order, so runs are fully deterministic.
 
 The engine is deliberately callback-based for speed -- the IDS testbed pushes
 hundreds of thousands of packet events through it, most of them replayed
-from a trace through :meth:`Engine.schedule_stream`.  Heap entries are
-``(time, priority, seq, handle)`` tuples, so every ordering decision is a
-C-level tuple comparison (``seq`` is unique, so the handle itself is never
-compared).
+from a trace through :meth:`Engine.schedule_stream`.  Every event is one
+``(time, priority, seq, fn, args)`` heap tuple, so every ordering decision
+is a C-level tuple comparison (``seq`` is unique, so ``fn`` is never
+compared).  A stream's entry carries its cursor as ``fn``.
 """
 
 from __future__ import annotations
@@ -20,43 +20,17 @@ from typing import Any, Callable, Optional
 
 from ..errors import ScheduleError, SimulationError
 
-__all__ = ["Engine", "EventHandle"]
+__all__ = ["Engine"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_heapreplace = heapq.heapreplace
 _INF = float("inf")
-#: A popped entry lies in the past only when a stream's records break
-#: their non-decreasing time order.
-_IN_THE_PAST = "event heap yielded an event in the past"
 
 
-class EventHandle:
-    """A cancellable reference to a scheduled callback.
-
-    Cancellation is lazy: the heap entry stays in place and is skipped when
-    popped, which keeps :meth:`Engine.cancel` O(1).
-    """
-
-    __slots__ = ("fn", "args", "cancelled")
-
-    def __init__(self, fn: Optional[Callable[..., Any]], args: tuple) -> None:
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running; safe to call repeatedly."""
-        self.cancelled = True
-        self.fn = None  # drop references early
-        self.args = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<{type(self).__name__} {state}>"
-
-
-class _StreamCursor(EventHandle):
-    """The one heap entry of a :meth:`Engine.schedule_stream` replay.
+class _StreamCursor:
+    """The ``fn`` of every heap entry of a :meth:`Engine.schedule_stream`
+    replay; the stream has one such entry at a time.
 
     Record ``i`` is queued under sequence number ``base + i``, so the
     entry's ``seq`` is also the cursor's position in ``times``.
@@ -70,7 +44,6 @@ class _StreamCursor(EventHandle):
     def __init__(self, times, payloads, sink: Callable[..., Any],
                  start_at: float, speedup: float, priority: int,
                  base: int) -> None:
-        super().__init__(None, ())
         self.times = times
         self.payloads = iter(payloads)
         self.sink = sink
@@ -83,7 +56,7 @@ class _StreamCursor(EventHandle):
     def entry(self, idx: int) -> tuple:
         """The heap entry that delivers record ``idx``."""
         return (self.start_at + (self.times[idx] - self.t0) / self.speedup,
-                self.priority, self.base + idx, self)
+                self.priority, self.base + idx, self, ())
 
 
 class Engine:
@@ -105,8 +78,8 @@ class Engine:
     --------
     >>> eng = Engine()
     >>> seen = []
-    >>> _ = eng.schedule(1.0, seen.append, "a")
-    >>> _ = eng.schedule(0.5, seen.append, "b")
+    >>> eng.schedule(1.0, seen.append, "a")
+    >>> eng.schedule(0.5, seen.append, "b")
     >>> eng.run()
     1.0
     >>> seen
@@ -118,17 +91,12 @@ class Engine:
         self._heap: list[tuple] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
-        #: a stream's next entry while :meth:`run` delivers the stream's
-        #: current record inline; it joins the heap unless it can be
-        #: delivered inline too
-        self._held: Optional[tuple] = None
         self.events_executed = 0
 
     @property
     def pending(self) -> int:
-        """Number of heap entries, including lazily cancelled ones."""
-        return len(self._heap) + (self._held is not None)
+        """Number of scheduled events (a stream counts as one)."""
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -139,17 +107,16 @@ class Engine:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:
             raise ScheduleError(f"negative or NaN delay {delay!r}")
         if not callable(fn):
             raise ScheduleError(f"callback {fn!r} is not callable")
-        handle = EventHandle(fn, args)
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._heap, (float(self.now + delay), priority, seq, handle))
-        return handle
+        _heappush(self._heap,
+                  (float(self.now + delay), priority, seq, fn, args))
 
     def schedule_at(
         self,
@@ -157,23 +124,16 @@ class Engine:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if not time >= self.now:
             raise ScheduleError(
                 f"cannot schedule at t={time!r}; clock already at {self.now!r}")
         if not callable(fn):
             raise ScheduleError(f"callback {fn!r} is not callable")
-        handle = EventHandle(fn, args)
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._heap, (float(time), priority, seq, handle))
-        return handle
-
-    @staticmethod
-    def cancel(handle: EventHandle) -> None:
-        """Cancel a previously scheduled event."""
-        handle.cancel()
+        _heappush(self._heap, (float(time), priority, seq, fn, args))
 
     def schedule_stream(
         self,
@@ -183,7 +143,7 @@ class Engine:
         start_at: float = 0.0,
         speedup: float = 1.0,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> None:
         """Deliver a time-sorted record stream through one reusable cursor.
 
         The stream is two equal-length, non-empty columns: ``times``, in
@@ -193,7 +153,7 @@ class Engine:
         Only one heap entry exists at a time instead of ``len(times)``.
         The cursor iterates ``payloads`` once and takes item ``i`` exactly
         when it delivers record ``i``, so a payload column may build its
-        items on demand; a cancelled stream takes no further item.
+        items on demand.
 
         Event ordering is *identical* to eager per-record ``schedule_at``
         calls: the cursor reserves the contiguous sequence-number block
@@ -202,9 +162,6 @@ class Engine:
         same priority) break exactly the same way.  Inside :meth:`run`, a
         record whose entry would be the next one popped anyway is delivered
         directly, without a heap push and pop.
-
-        Cancelling the returned cursor stops the not-yet-delivered
-        remainder of the stream.
         """
         n = len(times)
         if n == 0:
@@ -221,159 +178,84 @@ class Engine:
         base = self._seq
         cursor = _StreamCursor(times, payloads, sink, start_at, speedup,
                                priority, base)
-        first_at, _, _, _ = cursor.entry(0)
+        first_at = cursor.entry(0)[0]
         if not first_at >= self.now:
             raise ScheduleError(
                 f"cannot schedule at t={first_at!r}; "
                 f"clock already at {self.now!r}")
         self._seq += n  # reserve the block eager scheduling would have used
-        _heappush(self._heap, (float(first_at), priority, base, cursor))
-        return cursor
+        _heappush(self._heap, (float(first_at), priority, base, cursor, ()))
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _pop_live(self) -> Optional[tuple]:
-        """Pop entries until a live one; ``None`` when the heap drains."""
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            if not entry[3].cancelled:
-                return entry
-        return None
+    def _deliver_stream(self, cursor: _StreamCursor, idx: int,
+                        until: float) -> None:
+        """Deliver record ``idx`` of the stream at the heap head, then each
+        next record that is the heap head in turn and lies within
+        ``until``.
 
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the heap was empty.
-        """
-        if self._held is not None:
-            # called from a stream's sink inside run(): the stream's next
-            # record joins the heap before anything is popped
-            _heappush(self._heap, self._held)
-            self._held = None
-        entry = self._pop_live()
-        if entry is None:
-            return False
-        if entry[0] < self.now:
-            raise SimulationError(_IN_THE_PAST)
-        self.now = entry[0]
-        handle = entry[3]
-        if handle.__class__ is _StreamCursor:
-            idx = entry[2] - handle.base
-            if idx + 1 < len(handle.times):
-                _heappush(self._heap, handle.entry(idx + 1))
-            handle.sink(next(handle.payloads))
-        else:
-            fn, args = handle.fn, handle.args
-            handle.fn, handle.args = None, ()  # break cycles
-            fn(*args)
-        self.events_executed += 1
-        return True
-
-    def _deliver_stream(self, entry: tuple, until: float, budget: float) -> int:
-        """Deliver a popped stream entry, then each next record of the
-        stream that would be the next event :meth:`run` pops anyway: it
-        sorts before ``heap[0]``, lies within ``until``, fits ``budget``
-        and nothing called :meth:`stop`.  Returns how many records ran.
-
-        While the sink runs, the stream's next entry is held in
-        ``self._held``, where ``pending`` counts it, :meth:`step` pushes it
-        and :meth:`run` pushes it if the sink raises -- the heap the
-        per-record push would have left, without paying for the push.
+        The next record's entry takes the delivered record's place before
+        the sink runs -- stored straight into ``heap[0]`` when it still
+        sorts first, which skips the push and pop -- so ``pending`` counts
+        it, and a raising sink leaves the rest of the stream scheduled.
         """
         heap = self._heap
-        cursor = entry[3]
         next_payload = cursor.payloads.__next__
         sink = cursor.sink
-        n = len(cursor.times)
-        idx = entry[2] - cursor.base
-        done = 0
-        while True:
-            payload = next_payload()
+        last = len(cursor.times) - 1
+        while idx < last:
             idx += 1
-            if idx == n:
-                sink(payload)
-                self.events_executed += 1
-                return done + 1
-            held = self._held = cursor.entry(idx)
-            sink(payload)
+            entry = cursor.entry(idx)
+            size = len(heap)
+            if ((size < 2 or entry < heap[1])
+                    and (size < 3 or entry < heap[2])):
+                heap[0] = entry
+            else:
+                _heapreplace(heap, entry)
+            sink(next_payload())
             self.events_executed += 1
-            done += 1
-            if self._held is None:  # a nested step() took it
-                return done
-            self._held = None
-            if (cursor.cancelled or self._stopped or done >= budget
-                    or held[0] > until or held[0] < self.now
-                    or (heap and heap[0] < held)):
-                _heappush(heap, held)
-                return done
-            self.now = held[0]
+            t = entry[0]
+            if heap[0] is not entry or t > until or t < self.now:
+                return
+            self.now = t
+        _heappop(heap)
+        sink(next_payload())
+        self.events_executed += 1
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run events until the heap drains, ``until`` is reached, or
-        ``max_events`` have executed.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the heap drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run`` calls
-        compose like wall-clock intervals.  ``until`` bounds every event
-        that runs: a lazily cancelled head is discarded only after the
-        ``until`` check, and the next live entry is checked in turn.  A run
-        that stops on ``max_events`` while a live event at or before
-        ``until`` remains leaves the clock at its last event, so the next
-        run picks up from there.
+        compose like wall-clock intervals; no event after ``until`` runs.
 
         Returns the simulation time when the run stopped.
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
-        self._stopped = False
         heap = self._heap
         limit = _INF if until is None else until
-        budget = _INF if max_events is None else max_events
-        executed = 0
-        counted_out = False
         try:
-            while heap and not self._stopped:
-                head = heap[0]
-                if head[0] > limit:
+            while heap:
+                t, _, seq, fn, args = heap[0]
+                if t > limit:
                     break
-                handle = head[3]
-                if handle.cancelled:
+                if t < self.now:
+                    # only a stream whose records go back in time gets here
                     _heappop(heap)
-                    continue
-                if executed >= budget:
-                    counted_out = True
-                    break
-                entry = _heappop(heap)
-                if entry[0] < self.now:
-                    raise SimulationError(_IN_THE_PAST)
-                self.now = entry[0]
-                if handle.__class__ is _StreamCursor:
-                    executed += self._deliver_stream(entry, limit,
-                                                     budget - executed)
+                    raise SimulationError(
+                        "event heap yielded an event in the past")
+                self.now = t
+                if fn.__class__ is _StreamCursor:
+                    self._deliver_stream(fn, seq - fn.base, limit)
                 else:
-                    fn, args = handle.fn, handle.args
-                    handle.fn, handle.args = None, ()  # break cycles
+                    _heappop(heap)
                     fn(*args)
                     self.events_executed += 1
-                    executed += 1
-            if (until is not None and not self._stopped and not counted_out
-                    and self.now < until):
+            if until is not None and self.now < until:
                 self.now = float(until)
         finally:
             self._running = False
-            if self._held is not None:
-                # a sink raised: the rest of its stream stays scheduled
-                _heappush(heap, self._held)
-                self._held = None
         return self.now
-
-    def stop(self) -> None:
-        """Stop a run in progress after the current callback returns."""
-        self._stopped = True

@@ -236,16 +236,6 @@ class TestMonitor:
         assert len(m.query(src=SRC)) == 2
         assert len(m.query(src=DST)) == 0
 
-    def test_severity_histogram(self):
-        eng = Engine()
-        m = Monitor(eng, "m0")
-        m.receive(self._alert(Severity.LOW))
-        m.receive(self._alert(Severity.LOW))
-        m.receive(self._alert(Severity.HIGH))
-        hist = m.severity_histogram()
-        assert hist[Severity.LOW] == 2
-        assert hist[Severity.HIGH] == 1
-
     def test_error_reports(self):
         eng = Engine()
         m = Monitor(eng, "m0")
@@ -258,32 +248,3 @@ class TestMonitor:
             Monitor(eng, "m", notify_delay_s=-1)
         with pytest.raises(ConfigurationError):
             Monitor(eng, "m", channels=())
-
-
-class TestMonitorTrend:
-    def _alert(self, t, category="portscan"):
-        return Alert(time=t, analyzer="a0", category=category, src=SRC,
-                     dst=DST, severity=Severity.MEDIUM, confidence=0.9)
-
-    def test_windows_counted(self):
-        eng = Engine()
-        m = Monitor(eng, "m0")
-        for t in (1.0, 2.0, 65.0, 66.0, 67.0):
-            m.receive(self._alert(t))
-        trend = m.alert_trend(window_s=60.0)
-        assert trend == [(0.0, 2), (60.0, 3)]
-
-    def test_category_filter(self):
-        eng = Engine()
-        m = Monitor(eng, "m0")
-        m.receive(self._alert(1.0, "portscan"))
-        m.receive(self._alert(2.0, "anomaly-rate"))
-        trend = m.alert_trend(window_s=60.0, category_prefix="anomaly-")
-        assert trend == [(0.0, 1)]
-
-    def test_empty_and_validation(self):
-        eng = Engine()
-        m = Monitor(eng, "m0")
-        assert m.alert_trend() == []
-        with pytest.raises(ConfigurationError):
-            m.alert_trend(window_s=0)

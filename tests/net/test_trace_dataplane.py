@@ -257,22 +257,6 @@ class TestReplayEquivalence:
                 == replay_log(trace, trace_v1.replay_scheduled, speedup,
                               start_at))
 
-    def test_cursor_cancel_stops_remainder(self):
-        trace = Trace("c")
-        for i in range(5):
-            trace.append(float(i), Packet(src=A, dst=B, sport=i))
-        engine = Engine()
-        seen = []
-
-        def sink(pkt):
-            seen.append(pkt.sport)
-            if pkt.sport == 2:
-                cursor.cancel()
-
-        cursor = trace.replay(engine, sink)
-        engine.run()
-        assert seen == [0, 1, 2]
-
     def test_speedup_validation(self):
         trace = Trace("m")
         trace.append(0.0, Packet(src=A, dst=B))
@@ -325,6 +309,28 @@ class TestNonFiniteTimes:
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="not finite"):
             Trace.load(path)
+
+
+def test_decode_rejects_times_that_go_back(tmp_path):
+    """Decoding refuses a time that precedes the one before it, with the
+    message ``append`` and ``from_sorted`` give, so every trace that
+    reaches replay is sorted."""
+    trace = Trace()
+    for i in range(3):
+        trace.append(float(i), Packet(src=A, dst=B, sport=i))
+    data = bytearray(trace.to_bytes())
+    # the third record's time (no payload or label bytes in between)
+    offset = trace_v1.HEADER.size + 2 * trace_v1.RECORD.size
+    data[offset:offset + 8] = struct.pack("<d", 0.5)
+    message = "record at t=0.5 precedes previous t=1.0"
+    with pytest.raises(TraceFormatError, match=message):
+        Trace.from_bytes(bytes(data))
+    path = tmp_path / "unsorted.rtrc"
+    path.write_bytes(bytes(data))
+    with pytest.raises(TraceFormatError, match=message):
+        Trace.load(path)
+    with pytest.raises(TraceFormatError, match=message):
+        Trace.from_sorted([0.0, 1.0, 0.5], [tp.packet for tp in trace])
 
 
 @pytest.mark.slow

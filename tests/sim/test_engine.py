@@ -73,31 +73,6 @@ class TestScheduling:
         assert eng.now == 1.0
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        eng = Engine()
-        seen = []
-        h = eng.schedule(1.0, seen.append, "x")
-        h.cancel()
-        eng.run()
-        assert seen == []
-
-    def test_cancel_is_idempotent(self):
-        eng = Engine()
-        h = eng.schedule(1.0, lambda: None)
-        h.cancel()
-        h.cancel()
-        eng.run()
-
-    def test_cancel_from_earlier_event(self):
-        eng = Engine()
-        seen = []
-        h = eng.schedule(2.0, seen.append, "victim")
-        eng.schedule(1.0, h.cancel)
-        eng.run()
-        assert seen == []
-
-
 class TestRunControl:
     def test_run_until_advances_clock_exactly(self):
         eng = Engine()
@@ -115,51 +90,6 @@ class TestRunControl:
         eng.run()
         assert seen == ["in", "out"]
 
-    def test_max_events(self):
-        eng = Engine()
-        seen = []
-        for i in range(5):
-            eng.schedule(float(i + 1), seen.append, i)
-        eng.run(max_events=3)
-        assert seen == [0, 1, 2]
-
-    def test_until_bounds_event_behind_cancelled_head(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(1.0, seen.append, "cancelled").cancel()
-        eng.schedule(5.0, seen.append, "live")
-        assert eng.run(until=2.0) == 2.0
-        assert seen == []
-        assert eng.pending == 1
-        assert eng.run() == 5.0
-        assert seen == ["live"]
-
-    def test_max_events_stop_keeps_clock_before_until(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(1.0, seen.append, "a")
-        eng.schedule(1.5, seen.append, "b")
-        assert eng.run(until=3.0, max_events=1) == 1.0
-        assert seen == ["a"]
-        assert eng.run() == 1.5
-        assert seen == ["a", "b"]
-
-    def test_max_events_stop_after_last_event_reaches_until(self):
-        eng = Engine()
-        eng.schedule(1.0, lambda: None)
-        eng.schedule(4.0, lambda: None)
-        assert eng.run(until=3.0, max_events=1) == 3.0
-        assert eng.run() == 4.0
-
-    def test_stop_from_callback(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(1.0, seen.append, "a")
-        eng.schedule(2.0, eng.stop)
-        eng.schedule(3.0, seen.append, "b")
-        eng.run()
-        assert seen == ["a"]
-
     def test_run_not_reentrant(self):
         eng = Engine()
         def reenter():
@@ -167,9 +97,6 @@ class TestRunControl:
                 eng.run()
         eng.schedule(1.0, reenter)
         eng.run()
-
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
 
     def test_events_executed_counter(self):
         eng = Engine()
@@ -192,24 +119,6 @@ class TestProperties:
         eng.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
-
-    @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100,
-                                        allow_nan=False),
-                              st.booleans()),
-                    min_size=1, max_size=100))
-    @settings(max_examples=50, deadline=None)
-    def test_cancelled_subset_never_fires(self, items):
-        eng = Engine()
-        fired = []
-        handles = []
-        for i, (d, cancel) in enumerate(items):
-            handles.append((eng.schedule(d, fired.append, i), cancel))
-        for h, cancel in handles:
-            if cancel:
-                h.cancel()
-        eng.run()
-        expected = {i for i, (_, c) in enumerate(items) if not c}
-        assert set(fired) == expected
 
 
 class TestNaNRejected:
@@ -315,14 +224,14 @@ class TestPayloadColumnReads:
 
     def stream(self, eng, n, sink, **kwargs):
         column = CountingColumn(range(n))
-        cursor = eng.schedule_stream([float(i) for i in range(n)], column,
-                                     sink, **kwargs)
-        return column, cursor
+        eng.schedule_stream([float(i) for i in range(n)], column, sink,
+                            **kwargs)
+        return column
 
     def test_plain_run(self):
         eng = Engine()
         seen = []
-        column, _ = self.stream(eng, 6, seen.append)
+        column = self.stream(eng, 6, seen.append)
         eng.schedule_at(2.0, seen.append, "tick")  # forces a heap pass
         eng.run()
         assert seen == [0, 1, 2, "tick", 3, 4, 5]
@@ -337,7 +246,7 @@ class TestPayloadColumnReads:
                 raise RuntimeError("boom")
             seen.append(p)
 
-        column, _ = self.stream(eng, 5, sink)
+        column = self.stream(eng, 5, sink)
         with pytest.raises(RuntimeError):
             eng.run()
         assert column.reads == [0, 1, 2]
@@ -345,43 +254,18 @@ class TestPayloadColumnReads:
         assert seen == [0, 1, 3, 4]
         column.assert_read_once_in_order([0, 1, 2, 3, 4])
 
-    def test_nested_step(self):
+    def test_run_in_segments(self):
         eng = Engine()
         seen = []
-
-        def sink(p):
-            seen.append(p)
-            if p in (1, 2):
-                eng.step()  # delivers the next record from inside
-
-        column, _ = self.stream(eng, 6, sink)
-        eng.run()
-        assert seen == [0, 1, 2, 3, 4, 5]
-        column.assert_read_once_in_order([0, 1, 2, 3, 4, 5])
-
-    def test_cancel_stops_reads(self):
-        eng = Engine()
-        seen = []
-
-        def sink(p):
-            seen.append(p)
-            if p == 2:
-                cursor.cancel()
-
-        column, cursor = self.stream(eng, 8, sink)
-        eng.run()
-        assert seen == [0, 1, 2]
-        column.assert_read_once_in_order([0, 1, 2])
-
-    def test_step_and_budget(self):
-        eng = Engine()
-        seen = []
-        column, _ = self.stream(eng, 5, seen.append)
-        assert eng.step()
-        eng.run(max_events=2)
+        column = self.stream(eng, 5, seen.append)
+        assert eng.run(until=0.5) == 0.5
+        assert column.reads == [0]
+        assert eng.run(until=2.0) == 2.0
         assert column.reads == [0, 1, 2]
         eng.run(until=3.5)
+        assert column.reads == [0, 1, 2, 3]
         eng.run()
+        assert seen == [0, 1, 2, 3, 4]
         column.assert_read_once_in_order([0, 1, 2, 3, 4])
 
     def test_columns_must_match(self):
@@ -409,7 +293,6 @@ def execute(engine_cls, program):
     ops, behaviors, budget = program
     eng = engine_cls()
     log = []
-    handles = []
     labels = iter(range(10**9))
     left = [budget]
     counted = []  # the production engine's payload columns
@@ -433,12 +316,11 @@ def execute(engine_cls, program):
             left[0] -= 1
             _, offset, prio, behavior = action
             if kind == "sched":
-                handles.append(eng.schedule(offset, fire, next(labels),
-                                            behavior, priority=prio))
+                eng.schedule(offset, fire, next(labels), behavior,
+                             priority=prio)
             else:
-                handles.append(eng.schedule_at(eng.now + offset, fire,
-                                               next(labels), behavior,
-                                               priority=prio))
+                eng.schedule_at(eng.now + offset, fire, next(labels),
+                                behavior, priority=prio)
         elif kind == "stream":
             _, offset, speedup, prio, times, behavior = action
             if left[0] < len(times):
@@ -451,23 +333,14 @@ def execute(engine_cls, program):
                 columns = (list(times), column)
             else:
                 columns = (records,)
-            handles.append(eng.schedule_stream(
-                *columns, sink, start_at=eng.now + offset, speedup=speedup,
-                priority=prio))
-        elif kind == "cancel":
-            if handles:
-                handles[action[1] % len(handles)].cancel()
-        elif kind == "stop":
-            eng.stop()
+            eng.schedule_stream(*columns, sink, start_at=eng.now + offset,
+                                speedup=speedup, priority=prio)
         elif kind == "raise":
             raise Boom(eng.events_executed)
-        elif kind == "step":
-            log.append(("step", eng.step()))
         elif kind == "run":
-            _, until, max_events = action
+            _, until = action
             log.append(("run", eng.run(
-                until=None if until is None else eng.now + until,
-                max_events=max_events)))
+                until=None if until is None else eng.now + until)))
         else:  # pragma: no cover - generator and interpreter disagree
             raise AssertionError(kind)
 
@@ -482,8 +355,8 @@ def execute(engine_cls, program):
     for op in ops:
         attempt(op)
         note("after")
-    while eng.pending:  # drain what the program left, one step at a time
-        attempt(("step",))
+    while eng.pending:  # drain what the program left, past any raise
+        attempt(("run", None))
         note("drain")
     fired = {entry[0] for entry in log if type(entry[0]) is int}
     for column in counted:
@@ -508,16 +381,11 @@ def programs(draw, n_ops=12, n_behaviors=4, budget=40):
                        st.lists(TIMES, min_size=1, max_size=8).map(sorted)
                        | st.lists(TIMES, min_size=2, max_size=4),
                        behavior)
-    cancel = st.tuples(st.just("cancel"), st.integers(0, 50))
-    run = st.tuples(st.just("run"), st.one_of(st.none(), TIMES),
-                    st.one_of(st.none(), st.integers(0, 6)))
-    callback_action = st.one_of(
-        schedule, stream, cancel, st.just(("stop",)), st.just(("raise",)),
-        st.just(("step",)), run)
+    run = st.tuples(st.just("run"), st.one_of(st.none(), TIMES))
+    callback_action = st.one_of(schedule, stream, st.just(("raise",)), run)
     behaviors = draw(st.lists(st.lists(callback_action, max_size=3),
                               min_size=n_behaviors, max_size=n_behaviors))
-    ops = draw(st.lists(st.one_of(schedule, stream, cancel, run,
-                                  st.just(("step",))),
+    ops = draw(st.lists(st.one_of(schedule, stream, run),
                         min_size=1, max_size=n_ops))
     return ops, behaviors, budget
 
@@ -536,15 +404,6 @@ class TestReferenceEngine:
     @given(program=programs())
     def test_same_log_as_reference(self, program):
         assert_same_as_reference(program)
-
-    def test_cancelled_head_does_not_run_next_event_past_until(self):
-        # `until` bounds the live event behind a lazily cancelled head
-        program = ([("sched", 1.0, 0, 0), ("sched", 5.0, 0, 0),
-                    ("cancel", 0), ("run", 2.0, None)], [[]], 10)
-        assert_same_as_reference(program)
-        log = execute(Engine, program)
-        assert ("run", 2.0) in log
-        assert ("after", 2.0, 0, 1) in log
 
 
 @pytest.mark.slow
