@@ -2,7 +2,7 @@
 
 from .base import Attack, AttackKind, AttackRecord
 from .bruteforce import TelnetBruteForce
-from .catalog import ATTACK_CLASSES, make_attack, standard_attack_suite
+from .catalog import ATTACK_CLASSES, standard_attack_suite
 from .dos import SynFlood, UdpFlood
 from .exploits import (
     CGI_PROBE_PATHS,
@@ -21,7 +21,6 @@ __all__ = [
     "AttackRecord",
     "TelnetBruteForce",
     "ATTACK_CLASSES",
-    "make_attack",
     "standard_attack_suite",
     "SynFlood",
     "UdpFlood",

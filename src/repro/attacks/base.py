@@ -15,8 +15,8 @@ how many packets or alerts it produces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class AttackRecord:
     #: whether the attack is "novel" (no signature exists for it); used to
     #: contrast signature- vs anomaly-based detection (section 2.1)
     novel: bool = False
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class Attack:

@@ -8,7 +8,7 @@ spread across the scenario timeline, covering every :class:`AttackKind`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import ConfigurationError
 from ..net.address import IPv4Address
@@ -20,8 +20,7 @@ from .insider import TrustAbuse
 from .scans import HostSweep, PortScan, SlowPortScan
 from .tunnel import IcmpTunnel
 
-__all__ = ["CATALOG_VERSION", "ATTACK_CLASSES", "make_attack",
-           "standard_attack_suite"]
+__all__ = ["CATALOG_VERSION", "ATTACK_CLASSES", "standard_attack_suite"]
 
 #: Version of the canned attack campaign.  Bump whenever the suite's
 #: composition, timing, or any attack generator's emitted traffic changes:
@@ -43,14 +42,6 @@ ATTACK_CLASSES: Dict[str, type] = {
     "icmp-tunnel": IcmpTunnel,
 }
 
-
-def make_attack(name: str, **kwargs) -> Attack:
-    """Instantiate a registered attack by name."""
-    cls = ATTACK_CLASSES.get(name)
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown attack {name!r}; known: {sorted(ATTACK_CLASSES)}")
-    return cls(**kwargs)
 
 
 def standard_attack_suite(

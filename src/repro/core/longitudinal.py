@@ -9,8 +9,8 @@ weighted outcome moved under a given requirement profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
 from ..errors import ScorecardError
 from .scorecard import Scorecard
@@ -65,15 +65,6 @@ class EvaluationHistory:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    @property
-    def versions(self) -> List[str]:
-        return [r.version for r in self._records]
-
-    def latest(self) -> EvaluationRecord:
-        if not self._records:
-            raise ScorecardError("no evaluations recorded")
-        return self._records[-1]
 
     # ------------------------------------------------------------------
     def deltas(self, from_version: str, to_version: str) -> List[ScoreDelta]:

@@ -11,8 +11,8 @@ weights."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from ..errors import WeightingError
 
@@ -68,12 +68,6 @@ class RequirementSet:
     def __iter__(self) -> Iterator[Requirement]:
         return iter(self._requirements)
 
-    def get(self, name: str) -> Requirement:
-        for req in self._requirements:
-            if req.name == name:
-                return req
-        raise WeightingError(f"unknown requirement {name!r}")
-
     @classmethod
     def from_ordered(
         cls,
@@ -101,9 +95,6 @@ class RequirementSet:
                     contributes_to=frozenset(metrics)))
             weight += step
         return cls(name, reqs)
-
-    def total_weight(self) -> float:
-        return sum(r.weight for r in self._requirements)
 
     def contributions(self) -> Dict[str, List[Requirement]]:
         """Metric name -> requirements contributing to it."""

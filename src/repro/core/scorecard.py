@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ScorecardError, UnknownMetricError
+from ..errors import ScorecardError
 from .catalog import MetricCatalog
-from .metric import Metric, MetricClass, ObservationMethod, validate_score
+from .metric import Metric, ObservationMethod, validate_score
 
 __all__ = ["ScoreEntry", "Scorecard"]
 
@@ -86,9 +86,6 @@ class Scorecard:
         entry = self.get(product, metric_name)
         return None if entry is None else entry.score
 
-    def entries_for(self, product: str) -> List[ScoreEntry]:
-        return [e for (p, _), e in self._entries.items() if p == product]
-
     def __iter__(self) -> Iterator[ScoreEntry]:
         return iter(self._entries.values())
 
@@ -101,17 +98,3 @@ class Scorecard:
         """Metric names (default: whole catalog) not yet scored."""
         names = metric_names if metric_names is not None else self.catalog.names()
         return [n for n in names if (product, n) not in self._entries]
-
-    def complete_for(self, product: str,
-                     metric_names: Optional[Sequence[str]] = None) -> bool:
-        return not self.missing(product, metric_names)
-
-    def class_scores(self, product: str, metric_class: MetricClass,
-                     ) -> Dict[str, int]:
-        """Unweighted scores of one product for one metric class."""
-        out = {}
-        for metric in self.catalog.by_class(metric_class):
-            entry = self._entries.get((product, metric.name))
-            if entry is not None:
-                out[metric.name] = entry.score
-        return out

@@ -11,7 +11,7 @@ distinguish where a feature is actually counterproductive" (section 3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ScorecardError
@@ -30,9 +30,6 @@ class WeightedResult:
     total: float
     #: metrics that carried non-zero weight but had no recorded score
     unscored_weighted: Tuple[str, ...] = ()
-
-    def score_for(self, metric_class: MetricClass) -> float:
-        return self.class_scores[metric_class]
 
 
 def weighted_scores(

@@ -23,10 +23,9 @@ attack is not always clear" (section 4):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from ..ids.alert import Alert
-from ..net.trace import Trace
 from ..traffic.mixer import Scenario
 
 __all__ = ["count_transactions", "AccuracyResult", "score_alerts"]
@@ -67,24 +66,6 @@ class AccuracyResult:
     def detection_ratio(self) -> float:
         """Detected attacks over actual attacks (convenience)."""
         return len(self.detected) / len(self.actual) if self.actual else 1.0
-
-    @property
-    def mean_detection_delay(self) -> float:
-        if not self.detection_delay:
-            return float("nan")
-        return sum(self.detection_delay.values()) / len(self.detection_delay)
-
-    @property
-    def max_detection_delay(self) -> float:
-        if not self.detection_delay:
-            return float("nan")
-        return max(self.detection_delay.values())
-
-    @property
-    def mean_notification_delay(self) -> float:
-        if not self.notification_delay:
-            return float("nan")
-        return sum(self.notification_delay.values()) / len(self.notification_delay)
 
     def check_invariants(self) -> None:
         """Sanity identities implied by the Figure-3 set algebra."""

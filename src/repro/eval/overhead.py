@@ -32,10 +32,6 @@ class OverheadReport:
     max_host_cpu_fraction: float
     monitored_hosts: int
 
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.mean_host_cpu_fraction
-
 
 def measure_host_overhead(
     deployment: Deployment,

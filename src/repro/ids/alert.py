@@ -9,8 +9,8 @@ into operator :class:`Notification` s.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from ..net.address import IPv4Address
 
@@ -77,8 +77,3 @@ class Notification:
     time: float
     channel: str
     alert: Alert
-
-    @property
-    def latency_from(self) -> float:
-        """Notification time relative to the underlying alert."""
-        return self.time - self.alert.time

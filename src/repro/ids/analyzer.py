@@ -96,7 +96,6 @@ class Analyzer(Component):
         self._windows: Dict[Tuple[str, int], list] = {}
         # src -> correlation id
         self._campaigns: Dict[int, str] = {}
-        self._campaign_categories: Dict[str, set] = {}
         self._campaign_counter = 0
 
         self.detections_received = 0
@@ -176,13 +175,7 @@ class Analyzer(Component):
             self._campaign_counter += 1
             cid = f"{self.name}-campaign-{self._campaign_counter}"
             self._campaigns[det.src.value] = cid
-            self._campaign_categories[cid] = set()
-        self._campaign_categories[cid].add(det.category)
         return cid
-
-    def campaign_breadth(self, correlation_id: str) -> int:
-        """Distinct threat categories linked under one campaign (scope)."""
-        return len(self._campaign_categories.get(correlation_id, ()))
 
     def _store(self, det: Detection) -> None:
         if self.history_records >= self.history_limit:

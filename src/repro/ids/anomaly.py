@@ -114,14 +114,6 @@ class AnomalyScore(Tuple[str, float]):
 
     __slots__ = ()
 
-    @property
-    def feature(self) -> str:
-        return self[0]
-
-    @property
-    def score(self) -> float:
-        return self[1]
-
 
 class _ServiceStats:
     """Streaming entropy statistics for one (proto, port) service."""
@@ -410,10 +402,3 @@ class AnomalyEngine:
         if score >= 0.7:
             return Severity.MEDIUM
         return Severity.LOW
-
-    def reset_live_state(self) -> None:
-        """Drop live windows (between runs); the baseline is kept."""
-        self._live_bins.clear()
-        self._live_fanout.clear()
-        self.packets_inspected = 0
-        self.detections = 0

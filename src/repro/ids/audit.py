@@ -90,23 +90,6 @@ class AuditTrail:
     def __len__(self) -> int:
         return len(self._events)
 
-    def query(
-        self,
-        etype: Optional[AuditEventType] = None,
-        subject: Optional[str] = None,
-        since: float = 0.0,
-    ) -> List[AuditEvent]:
-        out = []
-        for e in self._events:
-            if e.time < since:
-                continue
-            if etype is not None and e.etype is not etype:
-                continue
-            if subject is not None and e.subject != subject:
-                continue
-            out.append(e)
-        return out
-
 
 def _parse_cluster_command(payload: bytes) -> Optional[str]:
     """Extract the command name from a cluster control message, if any."""

@@ -7,8 +7,8 @@ and accurately filter out offending traffic is key to a real-time response
 to threats."
 
 :class:`ManagementConsole` is the 1c side of the 1:1c monitor pairing and
-holds 1c:M management links to the other components (central configuration:
-sensitivity pushes, policy updates).  It binds symbolic
+holds 1c:M management links to the other components (validated with the
+pipeline's wiring).  It binds symbolic
 :class:`ResponseAction` s to concrete response devices and records every
 response with its request->effect latency.
 """
@@ -16,17 +16,14 @@ response with its request->effect latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from ..errors import ConfigurationError
 from ..net.address import IPv4Address
 from ..sim.engine import Engine
 from .alert import Alert
 from .component import Component, Subprocess
-from .monitor import Monitor
-from .policy import PolicyRule, ResponseAction, SecurityPolicy
+from .policy import ResponseAction
 from .response import Firewall, Honeypot, RouterInterface, SnmpTrapReceiver
-from .sensor import Sensor
 
 __all__ = ["ResponseLog", "ManagementConsole"]
 
@@ -70,39 +67,7 @@ class ManagementConsole(Component):
         self.snmp = snmp
         self.honeypot = honeypot
         self.secure_remote = secure_remote
-        self._managed: List[Component] = []
         self.responses: List[ResponseLog] = []
-        self.config_pushes = 0
-
-    # ------------------------------------------------------------------
-    # management links (1c:M)
-    # ------------------------------------------------------------------
-    def manage(self, component: Component) -> None:
-        self._managed.append(component)
-
-    @property
-    def managed(self) -> Tuple[Component, ...]:
-        return tuple(self._managed)
-
-    def push_sensitivity(self, sensitivity: float) -> int:
-        """Centrally retune every managed sensor's detector; returns how
-        many sensors were updated (the Multi-sensor Support capability)."""
-        updated = 0
-        for comp in self._managed:
-            if isinstance(comp, Sensor):
-                comp.detector.sensitivity = sensitivity
-                updated += 1
-        self.config_pushes += 1
-        return updated
-
-    def push_policy(self, policy: SecurityPolicy) -> int:
-        updated = 0
-        for comp in self._managed:
-            if isinstance(comp, Monitor):
-                comp.policy = policy
-                updated += 1
-        self.config_pushes += 1
-        return updated
 
     # ------------------------------------------------------------------
     # response dispatch (bound to Monitor.set_responder)

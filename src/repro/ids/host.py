@@ -18,18 +18,17 @@ consuming network bandwidth for the reporting, which we account).
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import ConfigurationError
 from ..net.node import Host
-from ..net.packet import Packet, Protocol
+from ..net.packet import Packet
 from ..sim.engine import Engine
 from .alert import Detection, Severity
 from .audit import (
     C2_EVENTS,
     KNOWN_CLUSTER_COMMANDS,
     NOMINAL_EVENTS,
-    AuditEvent,
     AuditEventType,
     AuditTrail,
     packet_to_events,
@@ -94,8 +93,7 @@ class HostAgent(Component):
         self.failed_login_threshold = int(failed_login_threshold)
         self.window_s = float(window_s)
 
-        self._cpu_handle = host.cpu.add_load(self.name,
-                                             logging_level.cpu_fraction)
+        host.cpu.add_load(self.name, logging_level.cpu_fraction)
         host.on_packet(self._observe)
 
         self.trail = AuditTrail()
@@ -105,17 +103,10 @@ class HostAgent(Component):
         self.log_events = 0
         self.report_bytes = 0
         self.detections_emitted = 0
-        self.migrated = False
 
     # ------------------------------------------------------------------
     def add_sink(self, sink: Callable[[Detection], None]) -> None:
         self._sinks.append(sink)
-
-    def set_logging_level(self, level: LoggingLevel) -> None:
-        """Re-register the CPU load at the new audit depth."""
-        self._cpu_handle.release()
-        self.logging_level = level
-        self._cpu_handle = self.host.cpu.add_load(self.name, level.cpu_fraction)
 
     # ------------------------------------------------------------------
     def _observe(self, pkt: Packet) -> None:
@@ -164,15 +155,3 @@ class HostAgent(Component):
         self.report_bytes += _EVENT_REPORT_BYTES
         for sink in self._sinks:
             sink(det)
-
-    # ------------------------------------------------------------------
-    def migrate(self) -> None:
-        """Detach from a host under attack (section 2.1: agents "must
-        quickly notify someone and possibly migrate to another host before
-        they are compromised or disabled")."""
-        self._cpu_handle.release()
-        self.migrated = True
-
-    @property
-    def cpu_fraction(self) -> float:
-        return 0.0 if self.migrated else self.logging_level.cpu_fraction

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from ..errors import ConfigurationError
 from ..net.packet import Packet
 from .alert import Severity
-from .anomaly import AnomalyBaseline, AnomalyEngine
+from .anomaly import AnomalyBaseline
 from .sensor import AnomalyDetector, SignatureDetector
 
 __all__ = ["HybridDetector"]
@@ -32,7 +32,7 @@ class HybridDetector:
     mode:
         ``"parallel"`` or ``"series"`` (see module docstring).
     sensitivity:
-        Propagated to both engines; reading it returns the shared value.
+        Set on both engines, including those of detectors passed in.
     """
 
     def __init__(
@@ -48,16 +48,8 @@ class HybridDetector:
         self.signature = signature or SignatureDetector(
             sensitivity=sensitivity)
         self.anomaly = anomaly or AnomalyDetector(sensitivity=sensitivity)
-        self.sensitivity = sensitivity
-
-    @property
-    def sensitivity(self) -> float:
-        return self.signature.sensitivity
-
-    @sensitivity.setter
-    def sensitivity(self, value: float) -> None:
-        self.signature.sensitivity = value
-        self.anomaly.sensitivity = value
+        self.signature.engine.sensitivity = sensitivity
+        self.anomaly.engine.sensitivity = sensitivity
 
     # training passthrough (the anomaly half needs a baseline)
     @property
@@ -78,7 +70,3 @@ class HybridDetector:
         if self.mode == "series" and sig_hits:
             return sig_hits
         return sig_hits + self.anomaly.process(pkt, now)
-
-    def reset(self) -> None:
-        self.signature.reset()
-        self.anomaly.reset()

@@ -6,7 +6,7 @@ severe according to a security policy."  The monitor is where Type-I error
 hurts operationally: "frequent alerts on trivial or normal events ... lead to
 the IDS being ignored by the operators."
 
-:class:`Monitor` keeps the full alert history (queryable), applies the
+:class:`Monitor` keeps the full alert history, applies the
 security policy to decide notifications and response requests, and records
 everything with timestamps so the harness can measure *Timeliness* and
 notification latency.
@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.engine import Engine
-from .alert import Alert, Notification, Severity
+from .alert import Alert, Notification
 from .component import Component, Subprocess
 from .policy import ResponseAction, SecurityPolicy
 
@@ -135,26 +135,8 @@ class Monitor(Component):
         self.error_reports.append((time, message))
 
     # ------------------------------------------------------------------
-    # operator queries ("historical querying ability")
+    # operator view
     # ------------------------------------------------------------------
-    def query(
-        self,
-        min_severity: Severity = Severity.INFO,
-        category_prefix: Optional[str] = None,
-        since: float = 0.0,
-        src: Optional[object] = None,
-    ) -> List[Alert]:
-        out = []
-        for a in self.alerts:
-            if a.severity < min_severity or a.time < since:
-                continue
-            if category_prefix is not None and not a.category.startswith(category_prefix):
-                continue
-            if src is not None and a.src != src:
-                continue
-            out.append(a)
-        return out
-
     @property
     def alert_count(self) -> int:
         return len(self.alerts)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import CardinalityError, ConfigurationError
+from ..errors import ConfigurationError
 from ..net.packet import Packet
 from ..net.trace import Trace
 from ..sim.engine import Engine
@@ -91,8 +91,6 @@ class IdsPipeline:
         self.network_overhead_bytes = 0
         self.ingested = 0
         self._wired = False
-        self._data_links: List[Tuple[Component, Component]] = []
-        self._mgmt_links: List[Tuple[Component, Component]] = []
 
     # ------------------------------------------------------------------
     # wiring
@@ -125,7 +123,6 @@ class IdsPipeline:
             self.monitor.set_responder(self.console.respond)
             for comp in (*self.sensors, *self.analyzers, self.monitor,
                          *([self.balancer] if self.balancer else [])):
-                self.console.manage(comp)
                 mgmt.append((self.console, comp))
 
         components = [*self.sensors, *self.analyzers, self.monitor]
@@ -134,8 +131,6 @@ class IdsPipeline:
         if self.console is not None:
             components.append(self.console)
         validate_wiring(components, links, mgmt)
-        self._data_links = links
-        self._mgmt_links = mgmt
         self._wired = True
         return self
 
@@ -212,19 +207,6 @@ class IdsPipeline:
             if hasattr(sensor.detector, "freeze"):
                 sensor.detector.freeze()
 
-    def set_sensitivity(self, sensitivity: float) -> None:
-        """Retune every sensor (directly, or via the console if present)."""
-        if self.console is not None:
-            self.console.push_sensitivity(sensitivity)
-        else:
-            for sensor in self.sensors:
-                sensor.detector.sensitivity = sensitivity
-
-    def reset_detection_state(self) -> None:
-        """Clear per-run detector state (keeps trained baselines)."""
-        for sensor in self.sensors:
-            sensor.detector.reset()
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
@@ -245,17 +227,5 @@ class IdsPipeline:
         return sum(s.processed for s in self.sensors)
 
     @property
-    def any_sensor_down(self) -> bool:
-        return any(not s.up for s in self.sensors)
-
-    @property
     def crash_count(self) -> int:
         return sum(s.crashes for s in self.sensors)
-
-    def describe(self) -> str:
-        lb = self.balancer.strategy if self.balancer else "none"
-        return (
-            f"IdsPipeline {self.name!r}: {len(self.sensors)} sensor(s), "
-            f"{len(self.analyzers)} analyzer(s), balancer={lb}, "
-            f"console={'yes' if self.console else 'no'}, "
-            f"{'separated' if self.separated else 'combined'} analysis")

@@ -15,10 +15,9 @@ response devices.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
 from .alert import Alert, Severity
 
 __all__ = ["ResponseAction", "PolicyRule", "SecurityPolicy"]
@@ -66,12 +65,6 @@ class SecurityPolicy:
     ) -> None:
         self.rules: List[PolicyRule] = list(rules)
         self.default_actions = tuple(default_actions)
-
-    def add_rule(self, rule: PolicyRule, position: Optional[int] = None) -> None:
-        if position is None:
-            self.rules.append(rule)
-        else:
-            self.rules.insert(position, rule)
 
     def actions_for(self, alert: Alert) -> Tuple[ResponseAction, ...]:
         for rule in self.rules:

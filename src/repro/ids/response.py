@@ -10,12 +10,11 @@ capability and latency ("near real-time automated response", section 3.3).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import ConfigurationError
 from ..net.address import IPv4Address
 from ..net.node import BorderRouter
-from ..net.packet import Packet
 from ..sim.engine import Engine
 
 __all__ = ["Firewall", "RouterInterface", "SnmpTrapReceiver", "Honeypot"]
@@ -24,9 +23,9 @@ __all__ = ["Firewall", "RouterInterface", "SnmpTrapReceiver", "Honeypot"]
 class Firewall:
     """A boundary packet filter with an updatable block list.
 
-    Can be interposed on a packet path via :meth:`filter`; blocked sources
-    are dropped.  ``update_latency_s`` models the rule-push delay from the
-    management console.
+    ``update_latency_s`` models the rule-push delay from the management
+    console.  The testbed routes no packets through the firewall, so the
+    block list records what was blocked; it filters no traffic.
     """
 
     def __init__(self, engine: Engine, name: str = "firewall",
@@ -38,7 +37,6 @@ class Firewall:
         self.update_latency_s = float(update_latency_s)
         self._blocked: set[int] = set()
         self.block_requests: List[Tuple[float, IPv4Address]] = []
-        self.blocked_packets = 0
 
     def request_block(self, address: IPv4Address) -> None:
         """Asynchronously add ``address`` to the block list."""
@@ -47,20 +45,6 @@ class Firewall:
 
     def _apply(self, address: IPv4Address) -> None:
         self._blocked.add(address.value)
-
-    def is_blocked(self, address: IPv4Address) -> bool:
-        return address.value in self._blocked
-
-    @property
-    def block_list_size(self) -> int:
-        return len(self._blocked)
-
-    def filter(self, pkt: Packet, passthrough: Callable[[Packet], None]) -> None:
-        """Packet-path hook: drop blocked sources, forward the rest."""
-        if pkt.src.value in self._blocked:
-            self.blocked_packets += 1
-            return
-        passthrough(pkt)
 
 
 class RouterInterface:
@@ -100,10 +84,6 @@ class SnmpTrapReceiver:
     def trap(self, oid: str, detail: str = "") -> None:
         self.traps.append((self.engine.now, oid, detail))
 
-    @property
-    def trap_count(self) -> int:
-        return len(self.traps)
-
 
 class Honeypot:
     """A decoy destination attacker traffic can be redirected to."""
@@ -114,13 +94,6 @@ class Honeypot:
         self.address = address
         self.name = name
         self._attracted: set[int] = set()
-        self.captured_packets: List[Packet] = []
 
     def attract(self, attacker: IPv4Address) -> None:
         self._attracted.add(attacker.value)
-
-    def is_attracted(self, address: IPv4Address) -> bool:
-        return address.value in self._attracted
-
-    def capture(self, pkt: Packet) -> None:
-        self.captured_packets.append(pkt)

@@ -26,7 +26,7 @@ performance metrics are *observable*:
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Protocol as TypingProtocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol as TypingProtocol, Tuple
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet
@@ -66,13 +66,9 @@ class FailureMode(enum.Enum):
 class Detector(TypingProtocol):
     """Detection engine protocol consumed by :class:`Sensor`."""
 
-    sensitivity: float
-
     def process(self, pkt: Packet, now: float) -> List[Tuple[str, Severity, float, str]]:
         """Return ``(category, severity, score, detail)`` hits."""
         ...
-
-    def reset(self) -> None: ...
 
 
 class SignatureDetector:
@@ -88,20 +84,9 @@ class SignatureDetector:
         self.engine = engine
         self.engine.sensitivity = sensitivity
 
-    @property
-    def sensitivity(self) -> float:
-        return self.engine.sensitivity
-
-    @sensitivity.setter
-    def sensitivity(self, value: float) -> None:
-        self.engine.sensitivity = value
-
     def process(self, pkt: Packet, now: float):
         return [(m.category, m.severity, m.score, m.detail)
                 for m in self.engine.inspect(pkt, now)]
-
-    def reset(self) -> None:
-        self.engine.reset()
 
 
 class AnomalyDetector:
@@ -113,14 +98,6 @@ class AnomalyDetector:
             engine = AnomalyEngine(sensitivity=sensitivity)
         self.engine = engine
         self.engine.sensitivity = sensitivity
-
-    @property
-    def sensitivity(self) -> float:
-        return self.engine.sensitivity
-
-    @sensitivity.setter
-    def sensitivity(self, value: float) -> None:
-        self.engine.sensitivity = value
 
     @property
     def window_s(self) -> float:
@@ -142,9 +119,6 @@ class AnomalyDetector:
             out.append((f"anomaly-{feature}", AnomalyEngine.severity_for(score),
                         score, ""))
         return out
-
-    def reset(self) -> None:
-        self.engine.reset_live_state()
 
 
 class Sensor(Component):
@@ -365,17 +339,3 @@ class Sensor(Component):
 
     def clear_slowdown(self) -> None:
         self._slowdown = 1.0
-
-    # ------------------------------------------------------------------
-    @property
-    def drop_ratio(self) -> float:
-        if self.received == 0:
-            return 0.0
-        return (self.dropped_overload + self.dropped_down) / self.received
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of the ops budget consumed so far."""
-        t = self.engine.now if elapsed is None else elapsed
-        if t <= 0:
-            return 0.0
-        return self.busy_ops / (self.ops_rate * t)

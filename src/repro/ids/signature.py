@@ -93,9 +93,6 @@ class SignatureRule:
     def match(self, pkt: Packet, now: float, sensitivity: float) -> Optional[RuleMatch]:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear any per-rule state (between evaluation runs)."""
-
     def _hit(self, detail: str = "") -> RuleMatch:
         return RuleMatch(self.name, self.category, self.severity,
                          self.base_score, detail)
@@ -194,10 +191,6 @@ class StreamPatternRule(SignatureRule):
         # stored-flow keys, oldest first; may contain stale keys (state
         # dropped on hit/degenerate tail), compacted when 2x the cap
         self._order: deque = deque()
-
-    def reset(self) -> None:
-        self._streams.clear()
-        self._order.clear()
 
     def _valid_tail(self, pkt: Packet, now: float, state: Optional[list]) -> bytes:
         """The carried tail, or ``b""`` when absent/expired/out-of-seq."""
@@ -341,9 +334,6 @@ class ThresholdRule(SignatureRule):
         self._state: Dict[object, list] = {}
         self._eff_cache: Tuple[float, int] = (-1.0, 0)
 
-    def reset(self) -> None:
-        self._state.clear()
-
     def effective_threshold(self, sensitivity: float) -> int:
         cached_s, cached_t = self._eff_cache
         if cached_s == sensitivity:
@@ -432,16 +422,6 @@ class SignatureEngine:
                 hits.append(m)
         self.matches += len(hits)
         return hits
-
-    def reset(self) -> None:
-        for rule in self.rules:
-            rule.reset()
-        self.packets_inspected = 0
-        self.matches = 0
-
-    @property
-    def rule_count(self) -> int:
-        return len(self.rules)
 
 
 # ----------------------------------------------------------------------

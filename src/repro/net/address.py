@@ -117,10 +117,6 @@ class Subnet:
         size = 1 << (32 - self.prefix)
         return max(size - 2, 0) if self.prefix <= 30 else (size if self.prefix == 32 else 2)
 
-    @property
-    def broadcast(self) -> IPv4Address:
-        return IPv4Address(self.network.value | (~self.mask_value & 0xFFFFFFFF))
-
     def __contains__(self, addr: "IPv4Address | str") -> bool:
         a = IPv4Address(addr)
         return (a.value & self.mask_value) == self.network.value

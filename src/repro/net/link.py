@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from ..errors import ConfigurationError
 from ..sim.engine import Engine
-from ..sim.stats import TimeWeighted
 from .packet import Packet
 
 __all__ = ["Link"]
@@ -79,9 +78,6 @@ class Link:
         self.dropped_packets = 0
         self.dropped_bytes = 0
 
-        # instrumentation
-        self._occupancy = TimeWeighted(t0=engine.now, value=0.0)
-
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         """Offer a packet to the link.
@@ -107,41 +103,16 @@ class Link:
         finish = start + tx_time
         self._busy_until = finish
         self._queued_bytes += size
-        self._occupancy.update(now, self._queued_bytes)
         deliver_at = finish + self.propagation_delay
         self.engine.schedule_at(deliver_at, self._deliver, pkt, size)
         return True
 
     def _deliver(self, pkt: Packet, size: int) -> None:
         self._queued_bytes -= size
-        self._occupancy.update(self.engine.now, self._queued_bytes)
         self.delivered_packets += 1
         self.delivered_bytes += size
         if self.sink is not None:
             self.sink(pkt)
-
-    # ------------------------------------------------------------------
-    @property
-    def in_flight_packets(self) -> int:
-        return self.offered_packets - self.delivered_packets - self.dropped_packets
-
-    @property
-    def loss_ratio(self) -> float:
-        if self.offered_packets == 0:
-            return 0.0
-        return self.dropped_packets / self.offered_packets
-
-    def average_occupancy(self, until: Optional[float] = None) -> float:
-        """Time-weighted mean of queued bytes."""
-        self._occupancy.update(self.engine.now, self._queued_bytes)
-        return self._occupancy.average(until)
-
-    def utilization(self, until: Optional[float] = None) -> float:
-        """Fraction of capacity used so far (delivered bits / capacity)."""
-        t_end = self.engine.now if until is None else until
-        if t_end <= 0:
-            return 0.0
-        return (self.delivered_bytes * 8.0) / (self.bandwidth_bps * t_end)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

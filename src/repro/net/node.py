@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..errors import ConfigurationError, NetworkError
 from ..sim.engine import Engine
 from ..sim.resources import HostCpu
 from .address import IPv4Address
@@ -58,7 +57,6 @@ class Host(Node):
         self.address = address
         self.cpu = HostCpu(engine, capacity_ops=cpu_capacity_ops, name=name)
         self._handlers: List[PacketHandler] = []
-        self.uplink: Optional[Link] = None
 
     def on_packet(self, handler: PacketHandler) -> None:
         self._handlers.append(handler)
@@ -67,12 +65,6 @@ class Host(Node):
         super().receive(pkt)
         for handler in self._handlers:
             handler(pkt)
-
-    def send(self, pkt: Packet) -> bool:
-        """Transmit via the host's uplink (must be attached first)."""
-        if self.uplink is None:
-            raise NetworkError(f"host {self.name!r} has no uplink attached")
-        return self.uplink.send(pkt)
 
 
 class Switch(Node):
@@ -117,44 +109,15 @@ class Switch(Node):
 class BorderRouter(Node):
     """Boundary device between the Internet side and the protected LAN.
 
-    Supports a *block list* of source addresses (populated by the management
-    console's response actions, section 2.2 / Table 3 "Router Interaction").
-    Blocked packets are counted and discarded before reaching the LAN.
+    Holds a *block list* of source addresses, populated by the management
+    console's response actions (section 2.2 / Table 3 "Router
+    Interaction").  The testbed routes no packets through the router, so
+    the list records what was blocked; it filters no traffic.
     """
 
     def __init__(self, engine: Engine, name: str = "border") -> None:
         super().__init__(engine, name)
-        self.lan_side: Optional[Link] = None
-        self.wan_side: Optional[Link] = None
         self._blocked: set[int] = set()
-        self.blocked_packets = 0
 
     def block(self, address: IPv4Address) -> None:
         self._blocked.add(address.value)
-
-    def unblock(self, address: IPv4Address) -> None:
-        self._blocked.discard(address.value)
-
-    @property
-    def block_list_size(self) -> int:
-        return len(self._blocked)
-
-    def is_blocked(self, address: IPv4Address) -> bool:
-        return address.value in self._blocked
-
-    def receive_from_wan(self, pkt: Packet) -> None:
-        """Inbound packet from the Internet side."""
-        self.receive(pkt)
-        if pkt.src.value in self._blocked:
-            self.blocked_packets += 1
-            return
-        if self.lan_side is None:
-            raise ConfigurationError(f"router {self.name!r} has no LAN link")
-        self.lan_side.send(pkt)
-
-    def receive_from_lan(self, pkt: Packet) -> None:
-        """Outbound packet toward the Internet."""
-        self.receive(pkt)
-        if self.wan_side is None:
-            raise ConfigurationError(f"router {self.name!r} has no WAN link")
-        self.wan_side.send(pkt)

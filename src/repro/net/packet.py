@@ -167,34 +167,10 @@ class Packet:
         """Total on-the-wire bytes: Ethernet + IP + transport + payload."""
         return _WIRE_HEADER[self.proto_id] + self._payload_len
 
-    @property
-    def is_benign(self) -> bool:
-        return self.attack_id is None
-
     def has_flag(self, flag: TcpFlags) -> bool:
         # int() of a member is its plain value; ``int & IntFlag`` would
         # dispatch to the python-level ``IntFlag.__rand__``
         return bool(self.flag_bits & int(flag))
-
-    def five_tuple(self) -> tuple:
-        return (self.src, self.sport, self.dst, self.dport, self.proto)
-
-    def reply_template(self, **overrides) -> "Packet":
-        """Build a packet in the reverse direction of this one.
-
-        Ground-truth labels propagate: replies elicited by attack traffic
-        belong to the same attack instance.
-        """
-        kwargs = dict(
-            src=self.dst,
-            dst=self.src,
-            sport=self.dport,
-            dport=self.sport,
-            proto=self.proto,
-            attack_id=self.attack_id,
-        )
-        kwargs.update(overrides)
-        return Packet(**kwargs)
 
     def copy(self) -> "Packet":
         """Duplicate this packet (fresh pid), e.g. for port mirroring."""

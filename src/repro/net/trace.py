@@ -58,7 +58,8 @@ import os
 import struct
 from array import array
 from math import isfinite
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -78,24 +79,14 @@ _PROTO_CODE = {Protocol.TCP: 0, Protocol.UDP: 1, Protocol.ICMP: 2}
 _CODE_PROTO = {v: k for k, v in _PROTO_CODE.items()}
 
 
-class TimedPacket(Tuple[float, Packet]):
-    """A ``(time, packet)`` record; plain tuple subclass for readability."""
+class TimedPacket(NamedTuple):
+    """A ``(time, packet)`` record."""
 
-    __slots__ = ()
-
-    def __new__(cls, time: float, packet: Packet) -> "TimedPacket":
-        return super().__new__(cls, (float(time), packet))
-
-    @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def packet(self) -> Packet:
-        return self[1]
+    time: float
+    packet: Packet
 
 
-#: a ``TimedPacket`` from a ``(float, Packet)`` pair, skipping ``float()``
+#: a ``TimedPacket`` from a ``(float, Packet)`` pair, one C-level call
 _timed = functools.partial(tuple.__new__, TimedPacket)
 
 
@@ -130,7 +121,6 @@ class Trace:
         self._packets: Sequence[Packet] = []
         # cached aggregate sweeps; invalidated by append()
         self._total_bytes: Optional[int] = None
-        self._attack_packets: Optional[int] = None
         self._benign_flows: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -150,7 +140,6 @@ class Trace:
         times.append(time)
         self._packets.append(packet)
         self._total_bytes = None
-        self._attack_packets = None
         self._benign_flows = None
 
     @classmethod
@@ -202,26 +191,10 @@ class Trace:
         return _timed((self._times[idx], self._packets[idx]))
 
     @property
-    def duration(self) -> float:
-        if not self._times:
-            return 0.0
-        return self._times[-1] - self._times[0]
-
-    @property
     def total_bytes(self) -> int:
         if self._total_bytes is None:
             self._total_bytes = sum(p.wire_size for p in self._packets)
         return self._total_bytes
-
-    def attack_ids(self) -> set:
-        """Distinct ground-truth attack instances present in the trace."""
-        return {p.attack_id for p in self._packets if p.attack_id}
-
-    def attack_packet_count(self) -> int:
-        if self._attack_packets is None:
-            self._attack_packets = sum(
-                1 for p in self._packets if p.attack_id)
-        return self._attack_packets
 
     def benign_flow_count(self) -> int:
         """Distinct :class:`FlowKey` flows among the benign packets."""

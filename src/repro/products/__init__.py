@@ -14,10 +14,5 @@ __all__ = [
     "RealSecureProduct",
     "ManhuntProduct",
     "AafidProduct",
-    "all_products",
 ]
 
-
-def all_products() -> list:
-    """The standard evaluation field: one instance of each product."""
-    return [NidProduct(), RealSecureProduct(), ManhuntProduct(), AafidProduct()]

@@ -20,7 +20,7 @@ Two artifacts per product:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -30,7 +30,7 @@ from ..ids.host import HostAgent
 from ..ids.monitor import Monitor
 from ..ids.pipeline import IdsPipeline
 from ..ids.policy import ResponseAction
-from ..ids.response import Firewall, Honeypot, RouterInterface, SnmpTrapReceiver
+from ..ids.response import Firewall, RouterInterface
 from ..ids.sensor import FailureMode, Sensor
 from ..net.packet import Packet
 from ..net.topology import LanTestbed
@@ -113,10 +113,6 @@ class DeploymentSnapshot:
     has_filter_path: bool
     #: blocked source addresses (int values), firewall requests then router
     filter_blocked_sources: Tuple[int, ...]
-
-    @property
-    def name(self) -> str:
-        return self.facts.name
 
     @classmethod
     def of(cls, dep: "Deployment") -> "DeploymentSnapshot":
@@ -203,14 +199,6 @@ class Deployment:
     def router(self) -> Optional[RouterInterface]:
         return self.console.router if self.console else None
 
-    @property
-    def snmp(self) -> Optional[SnmpTrapReceiver]:
-        return self.console.snmp if self.console else None
-
-    @property
-    def honeypot(self) -> Optional[Honeypot]:
-        return self.console.honeypot if self.console else None
-
     # ------------------------------------------------------------------
     def ingest(self, pkt: Packet) -> None:
         """One monitored packet crosses the protected network."""
@@ -219,7 +207,7 @@ class Deployment:
             self.pipeline.ingest(pkt)
         if self._agent_hosts:
             agent = self._agent_hosts.get(pkt.dst.value)
-            if agent is not None and not agent.migrated:
+            if agent is not None:
                 agent.host.receive(pkt)
 
     @property
@@ -239,17 +227,6 @@ class Deployment:
         if self.pipeline is not None:
             self.pipeline.freeze()
 
-    def set_sensitivity(self, sensitivity: float) -> bool:
-        """Retune if the product supports it; returns whether it applied."""
-        if self.facts.adjustable_sensitivity == "none" or self.pipeline is None:
-            return False
-        self.pipeline.set_sensitivity(sensitivity)
-        return True
-
-    def reset_detection_state(self) -> None:
-        if self.pipeline is not None:
-            self.pipeline.reset_detection_state()
-
     # ------------------------------------------------------------------
     @property
     def packets_dropped(self) -> int:
@@ -260,22 +237,12 @@ class Deployment:
         return self.pipeline.packets_processed if self.pipeline else 0
 
     @property
-    def crashed(self) -> bool:
-        return self.pipeline.any_sensor_down if self.pipeline else False
-
-    @property
     def crash_count(self) -> int:
         return self.pipeline.crash_count if self.pipeline else 0
 
     def snapshot(self) -> DeploymentSnapshot:
         """Picklable summary of everything the scoring layer reads."""
         return DeploymentSnapshot.of(self)
-
-    def host_cpu_impact(self) -> float:
-        """Average fraction of monitored-host CPU consumed by the agents."""
-        if not self.host_agents:
-            return 0.0
-        return sum(a.cpu_fraction for a in self.host_agents) / len(self.host_agents)
 
 
 class Product:

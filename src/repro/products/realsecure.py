@@ -102,7 +102,6 @@ class RealSecureProduct(Product):
         ]
         for agent in agents:
             agent.add_sink(analyzer.receive)
-            console.manage(agent)
         return Deployment(engine, self.facts, monitor, pipeline=pipeline,
                           host_agents=agents, console=console,
                           inline_latency_s=50e-6, testbed=testbed)

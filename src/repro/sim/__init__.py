@@ -9,7 +9,7 @@ from .faults import (
     named_plan,
     plan_names,
 )
-from .resources import HostCpu, LoadHandle
+from .resources import HostCpu
 from .rng import RngRegistry
 from .stats import RateMeter, TimeWeighted
 
@@ -22,7 +22,6 @@ __all__ = [
     "named_plan",
     "plan_names",
     "HostCpu",
-    "LoadHandle",
     "RngRegistry",
     "RateMeter",
     "TimeWeighted",

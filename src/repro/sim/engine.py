@@ -18,6 +18,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from ..errors import ScheduleError, SimulationError
 
 __all__ = ["Engine"]
@@ -26,6 +28,22 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 _heapreplace = heapq.heapreplace
 _INF = float("inf")
+
+
+def _check_stream_times(times: np.ndarray) -> None:
+    """Raise unless every time is finite and none precedes the one before
+    it; one pass over the whole column."""
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        i = int(bad[0])
+        raise ScheduleError(
+            f"record {i} has non-finite time {float(times[i])!r}")
+    back = np.flatnonzero(times[1:] < times[:-1])
+    if back.size:
+        i = int(back[0])
+        raise ScheduleError(
+            f"record at t={float(times[i + 1])!r} precedes previous "
+            f"t={float(times[i])!r}")
 
 
 class _StreamCursor:
@@ -146,8 +164,9 @@ class Engine:
     ) -> None:
         """Deliver a time-sorted record stream through one reusable cursor.
 
-        The stream is two equal-length, non-empty columns: ``times``, in
-        non-decreasing order, and ``payloads``.  Record ``i`` is delivered
+        The stream is two equal-length, non-empty columns: ``times``, finite
+        and in non-decreasing order (checked over the whole column before
+        anything is scheduled), and ``payloads``.  Record ``i`` is delivered
         as ``sink(payload_i)`` at ``start_at + (times[i] - times[0]) /
         speedup`` -- the exact expression per-record scheduling would use.
         Only one heap entry exists at a time instead of ``len(times)``.
@@ -175,6 +194,7 @@ class Engine:
             raise ScheduleError("NaN start_at")
         if not callable(sink):
             raise ScheduleError(f"sink {sink!r} is not callable")
+        _check_stream_times(np.asarray(times, dtype=float))
         base = self._seq
         cursor = _StreamCursor(times, payloads, sink, start_at, speedup,
                                priority, base)

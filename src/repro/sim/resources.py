@@ -7,43 +7,25 @@ Operational Performance Impact metric (Table 3) is "expressed as a percentage
 of processing power".
 
 :class:`HostCpu` models a host's processing capacity in abstract
-operations/second.  Consumers register either a *continuous load* (a fraction
-of capacity held for an interval, e.g. an audit daemon) or *work items*
-(operations that take ``ops / effective_rate`` seconds, e.g. analyzing one
-packet).  Utilization is tracked time-weighted so experiments can report the
-average and peak impact of an IDS component on its host.
+operations/second.  Consumers register a *continuous load* (a fraction of
+capacity, e.g. an audit daemon), which is tracked time-weighted per consumer
+so experiments can report the average impact of an IDS component on its
+host.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from .engine import Engine
 from .stats import TimeWeighted
 
-__all__ = ["HostCpu", "LoadHandle"]
-
-
-class LoadHandle:
-    """Token returned by :meth:`HostCpu.add_load`; release to remove it."""
-
-    __slots__ = ("cpu", "name", "fraction", "released")
-
-    def __init__(self, cpu: "HostCpu", name: str, fraction: float) -> None:
-        self.cpu = cpu
-        self.name = name
-        self.fraction = fraction
-        self.released = False
-
-    def release(self) -> None:
-        if not self.released:
-            self.cpu._remove_load(self)
-            self.released = True
+__all__ = ["HostCpu"]
 
 
 class HostCpu:
-    """Time-weighted CPU utilization model for one host.
+    """Time-weighted CPU load model for one host.
 
     Parameters
     ----------
@@ -61,90 +43,28 @@ class HostCpu:
         self.engine = engine
         self.capacity_ops = float(capacity_ops)
         self.name = name
-        self._loads: Dict[int, LoadHandle] = {}
-        self._load_total = 0.0
-        self._util = TimeWeighted(t0=engine.now, value=0.0)
-        # per-consumer attribution of continuous load
-        self._by_consumer: Dict[str, TimeWeighted] = {}
+        #: per consumer: [summed load fraction, its time-weighted meter]
+        self._consumers: Dict[str, List] = {}
 
-    # ------------------------------------------------------------------
-    # continuous loads
-    # ------------------------------------------------------------------
-    def add_load(self, name: str, fraction: float) -> LoadHandle:
-        """Register a continuous load of ``fraction`` of this CPU.
-
-        Total registered load may exceed 1.0 (the host is then saturated);
-        :attr:`utilization` is capped at 1.0 while :attr:`demand` reports the
-        uncapped sum.
-        """
+    def add_load(self, name: str, fraction: float) -> None:
+        """Register a continuous load of ``fraction`` of this CPU for
+        consumer ``name`` (loads of one consumer add up, uncapped)."""
         if fraction < 0:
             raise ConfigurationError(f"negative load fraction {fraction!r}")
-        handle = LoadHandle(self, name, float(fraction))
-        self._loads[id(handle)] = handle
-        self._load_total += handle.fraction
-        self._touch(name)
-        return handle
-
-    def _remove_load(self, handle: LoadHandle) -> None:
-        if id(handle) in self._loads:
-            del self._loads[id(handle)]
-            self._load_total -= handle.fraction
-            if abs(self._load_total) < 1e-15:
-                self._load_total = 0.0
-            self._touch(handle.name)
-
-    def _touch(self, consumer: str) -> None:
         now = self.engine.now
-        self._util.update(now, self.utilization)
-        meter = self._by_consumer.setdefault(consumer, TimeWeighted(t0=now))
-        meter.update(now, self._consumer_fraction(consumer))
-
-    def _consumer_fraction(self, consumer: str) -> float:
-        return sum(h.fraction for h in self._loads.values() if h.name == consumer)
-
-    # ------------------------------------------------------------------
-    # work items
-    # ------------------------------------------------------------------
-    def service_time(self, ops: float) -> float:
-        """Seconds to complete ``ops`` operations at the current residual rate.
-
-        Work items run in the capacity left over by continuous loads; on a
-        saturated host the residual rate floors at 1 % of capacity rather
-        than zero, modelling a starved-but-not-dead process.
-        """
-        if ops < 0:
-            raise ConfigurationError(f"negative ops {ops!r}")
-        residual = max(1.0 - self._load_total, 0.01)
-        return ops / (self.capacity_ops * residual)
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    @property
-    def demand(self) -> float:
-        """Sum of registered load fractions (may exceed 1.0)."""
-        return self._load_total
-
-    @property
-    def utilization(self) -> float:
-        """Instantaneous utilization, capped at 1.0."""
-        return min(self._load_total, 1.0)
-
-    @property
-    def saturated(self) -> bool:
-        return self._load_total > 1.0 + 1e-12
-
-    def average_utilization(self, until: Optional[float] = None) -> float:
-        self._util.update(self.engine.now, self.utilization)
-        return self._util.average(until)
+        entry = self._consumers.get(name)
+        if entry is None:
+            entry = self._consumers[name] = [0.0, TimeWeighted(t0=now)]
+        entry[0] += float(fraction)
+        entry[1].update(now, entry[0])
 
     def consumer_average(self, consumer: str, until: Optional[float] = None) -> float:
         """Time-weighted average fraction attributed to one consumer."""
-        meter = self._by_consumer.get(consumer)
-        if meter is None:
+        entry = self._consumers.get(consumer)
+        if entry is None:
             return 0.0
-        meter.update(self.engine.now, self._consumer_fraction(consumer))
-        return meter.average(until)
+        entry[1].update(self.engine.now, entry[0])
+        return entry[1].average(until)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"HostCpu({self.name!r}, demand={self._load_total:.3f})"
+        return f"HostCpu({self.name!r}, consumers={sorted(self._consumers)})"

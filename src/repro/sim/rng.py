@@ -38,10 +38,6 @@ class RngRegistry:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
@@ -55,10 +51,6 @@ class RngRegistry:
             gen = np.random.Generator(np.random.Philox(seq))
             self._streams[name] = gen
         return gen
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """Derive an independent registry (e.g. per evaluation trial)."""
-        return RngRegistry(seed=(self._seed * 1_000_003 + int(salt)) & 0x7FFFFFFF)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngRegistry(seed={self._seed}, streams={len(self._streams)})"

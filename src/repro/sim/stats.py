@@ -1,8 +1,8 @@
 """Online statistics accumulators used by the testbed.
 
-:class:`TimeWeighted` averages piecewise-constant signals (link queue
-occupancy, host CPU load); :class:`RateMeter` estimates event rates over a
-sliding window (a sensor's overload drop rate).  Both are single-pass.
+:class:`TimeWeighted` averages a piecewise-constant signal (a consumer's
+host CPU load); :class:`RateMeter` estimates event rates over a sliding
+window (a sensor's overload drop rate).  Both are single-pass.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ class TimeWeighted:
     ``[t0, t_last]`` weights each value by how long it was held.
     """
 
-    __slots__ = ("_t0", "_t_last", "_value", "_area", "_max")
+    __slots__ = ("_t0", "_t_last", "_value", "_area")
 
     def __init__(self, t0: float = 0.0, value: float = 0.0) -> None:
         self._t0 = float(t0)
         self._t_last = float(t0)
         self._value = float(value)
         self._area = 0.0
-        self._max = float(value)
 
     def update(self, t: float, value: float) -> None:
         if t < self._t_last:
@@ -34,16 +33,6 @@ class TimeWeighted:
         self._area += self._value * (t - self._t_last)
         self._t_last = float(t)
         self._value = float(value)
-        if value > self._max:
-            self._max = float(value)
-
-    @property
-    def current(self) -> float:
-        return self._value
-
-    @property
-    def maximum(self) -> float:
-        return self._max
 
     def average(self, until: Optional[float] = None) -> float:
         """Average over ``[t0, until]`` (defaults to the last update time)."""
@@ -83,9 +72,3 @@ class RateMeter:
         lo = (t - window) / self.bin_width
         total = sum(c for i, c in self._bins if i >= lo - 1e-12)
         return total / window
-
-    @property
-    def peak_bin_rate(self) -> float:
-        if not self._bins:
-            return 0.0
-        return max(c for _, c in self._bins) / self.bin_width

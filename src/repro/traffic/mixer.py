@@ -8,10 +8,9 @@ ratios (lesson 2, section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-import numpy as np
 
 from ..attacks.base import Attack, AttackRecord
 from ..errors import ConfigurationError
@@ -35,10 +34,6 @@ class Scenario:
     @property
     def attack_ids(self) -> set:
         return {a.attack_id for a in self.attacks}
-
-    @property
-    def benign_packets(self) -> int:
-        return len(self.trace) - self.trace.attack_packet_count()
 
     def summary(self) -> str:
         lines = [
@@ -84,7 +79,6 @@ class ScenarioBuilder:
         self._rng = RngRegistry(seed)
         self._backgrounds: List[TrafficProfile] = []
         self._attacks: List[Tuple[float, Attack]] = []
-        self._extra_traces: List[Trace] = []
 
     def add_background(self, profile: TrafficProfile) -> "ScenarioBuilder":
         self._backgrounds.append(profile)
@@ -104,13 +98,8 @@ class ScenarioBuilder:
             self.add_attack(start, attack)
         return self
 
-    def add_trace(self, trace: Trace) -> "ScenarioBuilder":
-        """Inject a pre-built trace (e.g. recorded site traffic)."""
-        self._extra_traces.append(trace)
-        return self
-
     def build(self) -> Scenario:
-        traces: List[Trace] = list(self._extra_traces)
+        traces: List[Trace] = []
         for i, profile in enumerate(self._backgrounds):
             rng = self._rng.stream(f"background.{i}.{profile.name}")
             traces.append(profile.generate(self.duration_s, rng))

@@ -13,7 +13,7 @@ mixer combines with attack traffic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -40,14 +40,6 @@ def _session_trace(
     for i, pkt in enumerate(pkts):
         trace_records.append((t0 + i * gap, pkt))
 
-
-def _dematerialize(pkts: Sequence[Packet]) -> None:
-    """Strip payload bytes, keeping logical sizes (cheap load-only packets)."""
-    for p in pkts:
-        if p.payload is not None:
-            p.payload = None  # _payload_len already covers the bytes
-            p._h256 = None    # drop any derived-feature memo with the bytes
-            p._tok = False
 
 
 class TrafficProfile:
@@ -85,9 +77,6 @@ class ClusterProfile(TrafficProfile):
         Per-node telemetry message rate.
     control_rate_per_s:
         Cluster-wide TCP control-session start rate.
-    materialize:
-        When ``False``, payload bytes are dropped (logical sizes kept) for
-        pure load experiments.
     """
 
     name = "cluster-rt"
@@ -98,7 +87,6 @@ class ClusterProfile(TrafficProfile):
         telemetry_hz: float = 20.0,
         control_rate_per_s: float = 2.0,
         heartbeat_hz: float = 1.0,
-        materialize: bool = True,
         rate_scale: float = 1.0,
     ) -> None:
         if len(nodes) < 2:
@@ -109,7 +97,6 @@ class ClusterProfile(TrafficProfile):
         self.telemetry_hz = telemetry_hz * rate_scale
         self.control_rate_per_s = control_rate_per_s * rate_scale
         self.heartbeat_hz = heartbeat_hz
-        self.materialize = materialize
 
     def generate(self, duration_s: float, rng: np.random.Generator) -> Trace:
         records: list = []
@@ -125,8 +112,6 @@ class ClusterProfile(TrafficProfile):
                 body = pl.cluster_telemetry(rng, node_id)
                 pkt = Packet(src=node, dst=master, sport=7100 + node_id,
                              dport=7000, proto=Protocol.UDP, payload=body)
-                if not self.materialize:
-                    _dematerialize([pkt])
                 records.append((float(t), pkt))
 
         # Control sessions between trusted pairs.
@@ -141,8 +126,6 @@ class ClusterProfile(TrafficProfile):
             pkts = build_session(src, dst, sport, 7001, request=req, response=resp,
                                  isn_client=int(rng.integers(1, 2**31)),
                                  isn_server=int(rng.integers(1, 2**31)))
-            if not self.materialize:
-                _dematerialize(pkts)
             _session_trace(records, float(t), pkts, gap=0.2e-3)
 
         # Heartbeats: ICMP master -> each node.
@@ -174,7 +157,6 @@ class EcommerceProfile(TrafficProfile):
         session_rate_per_s: float = 5.0,
         smtp_rate_per_s: float = 0.2,
         bulk_rate_per_s: float = 0.5,
-        materialize: bool = True,
         rate_scale: float = 1.0,
     ) -> None:
         if rate_scale <= 0:
@@ -184,7 +166,6 @@ class EcommerceProfile(TrafficProfile):
         self.session_rate_per_s = session_rate_per_s * rate_scale
         self.smtp_rate_per_s = smtp_rate_per_s * rate_scale
         self.bulk_rate_per_s = bulk_rate_per_s * rate_scale
-        self.materialize = materialize
         self._clients: List[IPv4Address] = [
             self.client_subnet.network + (1 + k) for k in range(200)
         ]
@@ -205,8 +186,6 @@ class EcommerceProfile(TrafficProfile):
                                  request=req, response=resp,
                                  isn_client=int(rng.integers(1, 2**31)),
                                  isn_server=int(rng.integers(1, 2**31)))
-            if not self.materialize:
-                _dematerialize(pkts)
             _session_trace(records, float(t), pkts, gap=2e-3)
 
         # SMTP trickle.
@@ -218,8 +197,6 @@ class EcommerceProfile(TrafficProfile):
                                  response=b"250 OK\r\n",
                                  isn_client=int(rng.integers(1, 2**31)),
                                  isn_server=int(rng.integers(1, 2**31)))
-            if not self.materialize:
-                _dematerialize(pkts)
             _session_trace(records, float(t), pkts, gap=5e-3)
 
         # Bursty bulk UDP transfers (content-distribution-ish).

@@ -21,7 +21,6 @@ from repro.attacks import (
     TelnetBruteForce,
     TrustAbuse,
     UdpFlood,
-    make_attack,
     standard_attack_suite,
 )
 from repro.traffic.payload import shannon_entropy
@@ -50,7 +49,7 @@ class TestBase:
         assert record.packets == len(trace) == 19
         assert record.start == 5.0
         assert record.end >= record.start
-        assert record.duration >= 0
+        assert record.end >= record.start
 
     def test_generate_time_shift(self, rng):
         attack = HostSweep(ATT, [TGT, TGT2], rate_pps=10.0)
@@ -70,7 +69,7 @@ class TestPortScan:
     def test_rate_controls_duration(self, rng):
         trace, rec = PortScan(ATT, TGT, ports=range(1, 101), rate_pps=100.0,
                               randomize_order=False).generate(0.0, rng)
-        assert rec.duration == pytest.approx(1.0, rel=0.3)
+        assert rec.end - rec.start == pytest.approx(1.0, rel=0.3)
 
     def test_bad_args(self):
         with pytest.raises(ConfigurationError):
@@ -216,14 +215,6 @@ class TestCatalog:
         covered = {cls.kind for cls in ATTACK_CLASSES.values()}
         assert covered == set(AttackKind)
 
-    def test_make_attack(self):
-        attack = make_attack("port-scan", attacker=ATT, target=TGT, ports=[1, 2])
-        assert isinstance(attack, PortScan)
-
-    def test_make_attack_unknown(self):
-        with pytest.raises(ConfigurationError):
-            make_attack("nope")
-
     def test_standard_suite_covers_all_kinds(self, rng):
         hosts = list(Subnet("10.0.0.0/24").hosts(4))
         suite = standard_attack_suite(ATT, hosts)
@@ -253,10 +244,11 @@ class TestScenarioMixer:
         builder.add_attack(10.0, HostSweep(ATT, nodes))
         scenario = builder.build()
         assert len(scenario.attacks) == 2
-        assert scenario.trace.attack_ids() == scenario.attack_ids
+        assert ({p.attack_id for _, p in scenario.trace if p.attack_id}
+                == scenario.attack_ids)
         times = [r.time for r in scenario.trace]
         assert times == sorted(times)
-        assert scenario.benign_packets > 0
+        assert any(not p.attack_id for _, p in scenario.trace)
         assert "mix" in scenario.summary()
 
     def test_scenario_deterministic(self):

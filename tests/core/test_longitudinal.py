@@ -26,13 +26,8 @@ def history():
 
 class TestHistory:
     def test_versions_in_order(self, history):
-        assert history.versions == ["1.0", "2.0"]
+        assert [v for v, _ in history.weighted_trend({})] == ["1.0", "2.0"]
         assert len(history) == 2
-        assert history.latest().version == "2.0"
-
-    def test_empty_latest_raises(self):
-        with pytest.raises(ScorecardError):
-            EvaluationHistory("x").latest()
 
     def test_add_requires_product(self):
         h = EvaluationHistory("other")

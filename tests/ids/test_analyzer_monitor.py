@@ -110,7 +110,9 @@ class TestAnalyzerSecondary:
         assert len(cids) == 1
         cid = cids.pop()
         assert cid is not None
-        assert a.campaign_breadth(cid) == 3
+        # the campaign spans all three categories
+        assert {alert.category for alert in got} == {
+            "portscan", "cgi-exploit", "brute-force"}
 
     def test_different_sources_different_campaigns(self):
         eng = Engine()
@@ -171,13 +173,6 @@ class TestSecurityPolicy:
         assert rule.matches(anom)
         assert not rule.matches(sig)
 
-    def test_add_rule_position(self):
-        policy = SecurityPolicy(rules=[PolicyRule(Severity.LOW, ())])
-        policy.add_rule(PolicyRule(Severity.HIGH, (ResponseAction.SNMP_TRAP,)),
-                        position=0)
-        assert len(policy) == 2
-        assert policy.rules[0].min_severity is Severity.HIGH
-
     def test_default_policy_shape(self):
         policy = SecurityPolicy.default()
         crit = Alert(time=0, analyzer="a", category="syn-flood", src=SRC,
@@ -224,17 +219,6 @@ class TestMonitor:
         m = Monitor(eng, "m0")
         m.receive(self._alert(Severity.CRITICAL))
         eng.run()  # must not raise
-
-    def test_query_filters(self):
-        eng = Engine()
-        m = Monitor(eng, "m0")
-        m.receive(self._alert(Severity.LOW, "portscan", t=1.0))
-        m.receive(self._alert(Severity.HIGH, "anomaly-rate", t=2.0))
-        assert len(m.query(min_severity=Severity.HIGH)) == 1
-        assert len(m.query(category_prefix="anomaly-")) == 1
-        assert len(m.query(since=1.5)) == 1
-        assert len(m.query(src=SRC)) == 2
-        assert len(m.query(src=DST)) == 0
 
     def test_error_reports(self):
         eng = Engine()

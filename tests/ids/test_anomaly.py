@@ -127,13 +127,3 @@ class TestDetection:
             results[s] = count
         assert results[0.8] >= results[0.2]
 
-    def test_reset_live_state_keeps_baseline(self):
-        engine, nodes = make_trained_engine()
-        run_attack(engine, PortScan(ATT, nodes[0], ports=range(1, 100)))
-        engine.reset_live_state()
-        assert engine.trained
-        assert engine.packets_inspected == 0
-        # still functional
-        features = run_attack(engine, PortScan(ATT, nodes[0], ports=range(1, 400),
-                                               rate_pps=500))
-        assert features

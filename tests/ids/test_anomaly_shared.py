@@ -157,11 +157,6 @@ class TestSharedIsolation:
         with pytest.raises(AttributeError):
             baseline.max_fanout = 9
 
-    def test_reset_live_state_keeps_shared_baseline(self):
-        learner, _ = learned(benign(5))
-        shared = adopter(learner.baseline, 0.5)
-        shared.reset_live_state()
-        assert shared.baseline is learner.baseline
 
 
 class TestAdoptContract:

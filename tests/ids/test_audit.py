@@ -75,16 +75,7 @@ class TestAuditTrail:
         assert len(trail) == 3
         assert trail.total_logged == 5
         assert trail.overwritten == 2
-        assert [e.detail for e in trail.query()] == ["2", "3", "4"]
-
-    def test_query_filters(self):
-        trail = AuditTrail()
-        trail.log(AuditEvent(1.0, AuditEventType.CONNECTION, "a", ""))
-        trail.log(AuditEvent(2.0, AuditEventType.LOGIN_FAILURE, "b", ""))
-        trail.log(AuditEvent(3.0, AuditEventType.LOGIN_FAILURE, "a", ""))
-        assert len(trail.query(etype=AuditEventType.LOGIN_FAILURE)) == 2
-        assert len(trail.query(subject="a")) == 2
-        assert len(trail.query(since=2.5)) == 1
+        assert [e.detail for e in trail._events] == ["2", "3", "4"]
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -144,4 +135,5 @@ class TestInsiderDetectionViaAudit:
         eng, host, agent, got = self._agent(LoggingLevel.C2)
         host.receive(Packet(src=ATT, dst=TGT, dport=23, proto=Protocol.TCP,
                             flags=TcpFlags.SYN))
-        assert len(agent.trail.query(etype=AuditEventType.CONNECTION)) == 1
+        assert [e.etype for e in agent.trail._events] == [
+            AuditEventType.CONNECTION]

@@ -41,7 +41,7 @@ class TestWiring:
     def test_wire_validates_ok(self):
         eng = Engine()
         p = make_pipeline(eng)
-        assert "2 sensor(s)" in p.describe()
+        assert p._wired and len(p.sensors) == 2
 
     def test_multiple_sensors_need_balancer(self):
         eng = Engine()
@@ -88,7 +88,7 @@ class TestEndToEnd:
         trace, _ = exploit.generate(0.0, np.random.default_rng(1))
         trace.replay(eng, p.ingest)
         eng.run()
-        assert p.console.firewall.is_blocked(ATT)
+        assert ATT.value in p.console.firewall._blocked
 
     def test_benign_traffic_no_alerts(self):
         eng = Engine()
@@ -99,18 +99,6 @@ class TestEndToEnd:
         eng.run()
         assert p.monitor.alert_count == 0
         assert p.packets_processed == len(trace)
-
-    def test_set_sensitivity_via_console(self):
-        eng = Engine()
-        p = make_pipeline(eng)
-        p.set_sensitivity(0.9)
-        assert all(s.detector.sensitivity == 0.9 for s in p.sensors)
-
-    def test_set_sensitivity_direct_without_console(self):
-        eng = Engine()
-        p = make_pipeline(eng, n_sensors=1, console=False)
-        p.set_sensitivity(0.2)
-        assert p.sensors[0].detector.sensitivity == 0.2
 
 
 class TestSeparationModel:
@@ -166,4 +154,4 @@ class TestTraining:
         p = make_pipeline(eng, n_sensors=2)
         assert p.packets_dropped == 0
         assert p.crash_count == 0
-        assert not p.any_sensor_down
+        assert all(s.up for s in p.sensors)

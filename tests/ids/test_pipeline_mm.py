@@ -52,9 +52,3 @@ class TestManyToMany:
         eng.run()
         assert pipeline.monitor.alert_count >= 1
 
-    def test_describe_mentions_counts(self):
-        eng = Engine()
-        pipeline = build_mm(eng, n_sensors=2, n_analyzers=3)
-        text = pipeline.describe()
-        assert "2 sensor(s)" in text
-        assert "3 analyzer(s)" in text

@@ -125,13 +125,6 @@ class TestEngine:
         engine.sensitivity = 0.9
         assert len(engine.inspect(pkt, 0.0)) == 1
 
-    def test_reset_clears_state(self):
-        ruleset = default_ruleset()
-        engine = SignatureEngine(ruleset, sensitivity=0.5)
-        engine.inspect(Packet(src=ATT, dst=TGT, payload=b"x"), 0.0)
-        engine.reset()
-        assert engine.packets_inspected == 0
-
 
 class TestDefaultRulesetDetection:
     """The shipped rules catch every known attack and miss the novel ones."""

@@ -111,11 +111,6 @@ class TestStreamPatternRule:
         assert rule.match(seg(b"Z", 2, sport=7000), 0.01, 0.5) is None
         assert rule.match(seg(b"Z", 2, sport=7002), 0.01, 0.5) is not None
 
-    def test_reset_clears_state(self, rule):
-        rule.match(seg(b"EVILM", 0), 0.0, 0.5)
-        rule.reset()
-        assert rule.match(seg(b"ARKER", 5), 0.1, 0.5) is None
-
     def test_empty_patterns_rejected(self):
         with pytest.raises(ConfigurationError):
             StreamPatternRule("r", [], category="x")

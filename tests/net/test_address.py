@@ -59,9 +59,6 @@ class TestSubnet:
         assert "10.0.0.42" in s
         assert IPv4Address("10.0.1.1") not in s
 
-    def test_broadcast(self):
-        assert Subnet("10.0.0.0/24").broadcast == IPv4Address("10.0.0.255")
-
     def test_host_bits_set_rejected(self):
         with pytest.raises(AddressError):
             Subnet("10.0.0.1/24")

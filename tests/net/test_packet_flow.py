@@ -58,16 +58,9 @@ class TestPacket:
         assert not p.has_flag(TcpFlags.FIN)
 
     def test_ground_truth(self):
-        assert mk().is_benign
+        assert mk().attack_id is None
         p = mk(attack_id="scan-1")
-        assert not p.is_benign
-
-    def test_reply_template_reverses_direction(self):
-        p = mk(attack_id="x")
-        r = p.reply_template(flags=TcpFlags.ACK)
-        assert (r.src, r.dst, r.sport, r.dport) == (B, A, 80, 1234)
-        assert r.attack_id == "x"
-        assert r.has_flag(TcpFlags.ACK)
+        assert p.attack_id == "scan-1"
 
     def test_copy_preserves_fields_fresh_pid(self):
         p = mk(payload=b"data", attack_id="a1", flags=TcpFlags.PSH)

@@ -8,17 +8,21 @@ per record.  ``tests/sim/test_engine.py`` runs random programs on it and on
 :class:`repro.sim.engine.Engine` and requires the same execution log and
 the same ``now``, ``events_executed`` and ``pending`` after every call.
 Besides the module docstring and the import of the error types, only
-:meth:`Engine.run` differs from the original, by two deliberate contract
-fixes made together with the production engine: ``until`` bounds every
-event that runs (a cancelled head no longer lets the live event behind it
-run past ``until``), and a run that stops on ``max_events`` while a live
-event at or before ``until`` remains leaves the clock at its last event
-instead of moving it to ``until``.
+:meth:`Engine.run` and :meth:`Engine.schedule_stream` differ from the
+original, by three deliberate contract fixes made together with the
+production engine: ``until`` bounds every event that runs (a cancelled
+head no longer lets the live event behind it run past ``until``), a run
+that stops on ``max_events`` while a live event at or before ``until``
+remains leaves the clock at its last event instead of moving it to
+``until``, and a stream whose times are not all finite and non-decreasing
+is refused before anything is scheduled, with the production engine's
+message.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Optional
 
 from repro.errors import ScheduleError, SimulationError
@@ -184,6 +188,15 @@ class Engine:
             raise ScheduleError(f"non-positive speedup {speedup!r}")
         if not callable(sink):
             raise ScheduleError(f"sink {sink!r} is not callable")
+        for i, (t, _) in enumerate(records):
+            if not math.isfinite(t):
+                raise ScheduleError(
+                    f"record {i} has non-finite time {float(t)!r}")
+        for i in range(n - 1):
+            if records[i + 1][0] < records[i][0]:
+                raise ScheduleError(
+                    f"record at t={float(records[i + 1][0])!r} precedes "
+                    f"previous t={float(records[i][0])!r}")
         t0 = records[0][0]
         first_at = start_at + (records[0][0] - t0) / speedup
         if first_at < self._now:

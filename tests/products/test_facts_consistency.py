@@ -10,8 +10,15 @@ import dataclasses
 import pytest
 
 from repro.eval.observer import _ORDINAL, score_open_source
-from repro.products import all_products
+from repro.products import (AafidProduct, ManhuntProduct, NidProduct,
+                            RealSecureProduct)
 from repro.products.base import ProductFacts
+
+
+def all_products():
+    """The standard evaluation field: one instance of each product."""
+    return [NidProduct(), RealSecureProduct(), ManhuntProduct(),
+            AafidProduct()]
 
 _FACT_FIELDS_WITH_SCALES = [
     "remote_management", "install_complexity", "policy_maintenance",

@@ -16,12 +16,13 @@ from repro.products import (
     ManhuntProduct,
     NidProduct,
     RealSecureProduct,
-    all_products,
 )
 from repro.sim.engine import Engine
 from repro.traffic.profiles import ClusterProfile
 
 ATT = IPv4Address("198.18.0.1")
+#: the standard evaluation field: one instance of each product
+FIELD = [NidProduct(), RealSecureProduct(), ManhuntProduct(), AafidProduct()]
 
 
 def deploy(product_cls, **kw):
@@ -50,13 +51,13 @@ def run_attack(dep, eng, attack, seed=5, start=None):
 
 class TestFieldConsistency:
     def test_all_products_distinct_names(self):
-        names = [p.name for p in all_products()]
+        names = [p.name for p in FIELD]
         assert len(set(names)) == 4
 
     def test_facts_cover_detection_space(self):
-        detections = {p.facts.detection for p in all_products()}
+        detections = {p.facts.detection for p in FIELD}
         assert {"signature", "anomaly", "hybrid"} <= detections
-        scopes = {p.facts.scope for p in all_products()}
+        scopes = {p.facts.scope for p in FIELD}
         assert {"network", "host", "both"} <= scopes
 
     @pytest.mark.parametrize("cls", [NidProduct, RealSecureProduct,
@@ -73,7 +74,7 @@ class TestNid:
         run_attack(dep, eng, BufferOverflowExploit(ATT, tb.hosts[0].address))
         assert dep.monitor.alert_count >= 1
         assert dep.firewall is not None
-        assert dep.firewall.is_blocked(ATT)
+        assert ATT.value in dep.firewall._blocked
 
     def test_misses_novel_exploit(self):
         eng, tb, dep = deploy(NidProduct)
@@ -82,7 +83,7 @@ class TestNid:
 
     def test_no_host_footprint(self):
         eng, tb, dep = deploy(NidProduct)
-        assert dep.host_cpu_impact() == 0.0
+        assert not dep.host_agents
         assert dep.facts.monitored_host_cpu_fraction == 0.0
 
 
@@ -97,14 +98,16 @@ class TestRealSecure:
 
     def test_host_agents_nominal_overhead(self):
         eng, tb, dep = deploy(RealSecureProduct)
-        assert dep.host_cpu_impact() == pytest.approx(0.04)
         assert len(dep.host_agents) == len(tb.hosts)
+        for agent in dep.host_agents:
+            assert agent.host.cpu.consumer_average(agent.name) == (
+                pytest.approx(0.04))
 
     def test_snmp_trap_on_high_severity(self):
         eng, tb, dep = deploy(RealSecureProduct)
         run_attack(dep, eng, BufferOverflowExploit(ATT, tb.hosts[0].address))
-        assert dep.snmp is not None
-        assert dep.snmp.trap_count >= 1
+        assert dep.console.snmp is not None
+        assert len(dep.console.snmp.traps) >= 1
 
     def test_session_consistent_balancing(self):
         eng, tb, dep = deploy(RealSecureProduct)
@@ -120,9 +123,9 @@ class TestManhunt:
         assert any(c.startswith("anomaly-") for c in cats)
 
     def test_continuous_sensitivity(self):
-        eng, tb, dep = deploy(ManhuntProduct)
-        assert dep.set_sensitivity(0.9)
-        assert all(s.detector.sensitivity == 0.9 for s in dep.sensors)
+        eng, tb, dep = deploy(ManhuntProduct, sensitivity=0.9)
+        assert dep.facts.adjustable_sensitivity == "continuous"
+        assert all(s.detector.engine.sensitivity == 0.9 for s in dep.sensors)
 
     def test_router_and_honeypot_capabilities(self):
         eng, tb, dep = deploy(ManhuntProduct)
@@ -145,9 +148,9 @@ class TestAafid:
 
     def test_c2_audit_overhead(self):
         eng, tb, dep = deploy(AafidProduct)
-        assert dep.host_cpu_impact() == pytest.approx(0.20)
-        for host in tb.hosts:
-            assert host.cpu.demand == pytest.approx(0.20)
+        for agent in dep.host_agents:
+            assert agent.host.cpu.consumer_average(agent.name) == (
+                pytest.approx(0.20))
 
     def test_catches_brute_force_on_host(self):
         eng, tb, dep = deploy(AafidProduct)
@@ -164,7 +167,8 @@ class TestAafid:
 
     def test_no_sensitivity_adjustment(self):
         eng, tb, dep = deploy(AafidProduct)
-        assert not dep.set_sensitivity(0.9)
+        assert dep.facts.adjustable_sensitivity == "none"
+        assert dep.sensors == []
 
     def test_no_response_capability(self):
         eng, tb, dep = deploy(AafidProduct)

@@ -150,6 +150,19 @@ class TestNaNRejected:
                                 speedup=float("nan"))
         assert eng.pending == 0
 
+    @pytest.mark.parametrize("times", [[0.0, float("nan"), 2.0],
+                                       [0.0, 2.0, 1.0],
+                                       [0.0, 1.0, float("inf")]])
+    def test_stream_times_checked_past_first_record(self, times):
+        eng = Engine()
+        delivered = []
+        with pytest.raises(ScheduleError):
+            eng.schedule_stream(times, "abc", delivered.append)
+        assert eng.pending == 0
+        eng.schedule(0.0, delivered.append, "x")  # no sequence block taken
+        eng.run()
+        assert delivered == ["x"]
+
 
 class TestInlineReplay:
     def test_lone_stream_pushes_once(self, monkeypatch):

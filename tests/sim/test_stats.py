@@ -16,8 +16,7 @@ class TestTimeWeighted:
         tw = TimeWeighted(t0=0.0, value=0.0)
         tw.update(5.0, 1.0)   # 0 for 5s, then 1
         assert tw.average(until=10.0) == pytest.approx(0.5)
-        assert tw.maximum == 1.0
-        assert tw.current == 1.0
+        assert tw.average(until=12.0) == pytest.approx(7.0 / 12.0)
 
     def test_time_backwards_rejected(self):
         tw = TimeWeighted()
@@ -58,7 +57,8 @@ class TestRateMeter:
         m = RateMeter(bin_width=0.5)
         m.add(0.1, 1)
         m.add(1.1, 10)
-        assert m.peak_bin_rate == 20.0
+        # the busiest bin, read through a one-bin window
+        assert m.rate(t=1.5, window=0.5) == 20.0
 
     def test_out_of_order_rejected(self):
         m = RateMeter(bin_width=1.0)
